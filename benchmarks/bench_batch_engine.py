@@ -1,14 +1,14 @@
-"""Throughput benchmark: vectorized batch engine vs the scalar path.
+"""Throughput benchmark: the vectorized search vs its row-at-a-time oracle.
 
-Measures the two workloads the multi-layer refactor targets:
+``CandidateGenerator.generate`` evaluates every beam iteration as stacked
+arrays; ``tests/scalar_oracle.py`` is the same search one proposal at a
+time.  Two workloads:
 
-* **single-user** — one ``create_session`` (T+1 candidates generators);
-* **multi-user** — 50 users through ``create_sessions`` (one shared
-  executor, one bulk DB transaction) against the scalar per-user loop.
+* **single-user** — the T+1 (user × time-point) cells of one applicant;
+* **multi-user** — every cell of 50 applicants.
 
-Both engines are run on identical inputs and the candidate sets are
-asserted identical before any timing is reported, so the speedup is for
-bit-equal results.
+An untimed pass first asserts that both searches return identical
+candidates for every cell, so the speedup is for bit-equal results.
 
 Run as a script (not via pytest)::
 
@@ -21,111 +21,78 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.constraints import lending_domain_constraints
-from repro.core import AdminConfig, JustInTime
+from repro.core import AdminConfig, CandidateGenerator, JustInTime
 from repro.data import john_profile, lending_schema, make_lending_dataset
 from repro.temporal import lending_update_function
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from scalar_oracle import generate_scalar  # noqa: E402
 
-def build_system(schema, history, engine: str, n_jobs: int = 1) -> JustInTime:
+SEARCHES = {"scalar": generate_scalar, "batch": CandidateGenerator.generate}
+
+
+def build_system(schema, history) -> JustInTime:
     system = JustInTime(
         schema,
         lending_update_function(schema),
-        AdminConfig(
-            T=3,
-            strategy="last",
-            k=6,
-            max_iter=10,
-            random_state=0,
-            n_jobs=n_jobs,
-            engine=engine,
-        ),
+        AdminConfig(T=3, strategy="last", k=6, max_iter=10, random_state=0),
         domain_constraints=lending_domain_constraints(schema),
     )
     return system.fit(history)
 
 
-def make_users(schema, n_users: int):
+def make_cells(system, n_users: int) -> list[tuple[np.ndarray, int]]:
+    """``(x_t, t)`` for every cell of ``n_users`` perturbed applicants."""
     rng = np.random.default_rng(7)
+    schema = system.schema
     base = schema.vector(john_profile())
+    cells = []
+    for _ in range(n_users):
+        profile = schema.clip(base * rng.uniform(0.75, 1.25, size=base.size))
+        trajectory = system.update_function.trajectory(profile, system.config.T)
+        cells.extend((trajectory[t], t) for t in range(system.config.T + 1))
+    return cells
+
+
+def run(system, cells, search) -> list:
+    constraints = system.domain_constraints
     return [
-        (
-            f"user-{i:03d}",
-            schema.clip(base * rng.uniform(0.75, 1.25, size=base.size)),
-        )
-        for i in range(n_users)
+        search(system._cell_generator(t, constraints), x_t, time=t)
+        for x_t, t in cells
     ]
 
 
-def assert_equivalent(sessions_a, sessions_b) -> None:
-    assert len(sessions_a) == len(sessions_b)
-    for sa, sb in zip(sessions_a, sessions_b):
-        assert sa.user_id == sb.user_id
-        assert len(sa.candidates) == len(sb.candidates), sa.user_id
-        for ca, cb in zip(sa.candidates, sb.candidates):
-            assert ca.time == cb.time
-            assert np.array_equal(ca.x, cb.x)
-            assert ca.metrics == cb.metrics
+def assert_equivalent(system, cells) -> None:
+    expected, found = (run(system, cells, search) for search in SEARCHES.values())
+    for want, got in zip(expected, found):
+        assert len(want) == len(got)
+        for a, b in zip(want, got):
+            assert a.time == b.time
+            assert np.array_equal(a.x, b.x)
+            assert a.metrics == b.metrics
+            assert a.plan_rank == b.plan_rank
 
 
-def bench_single_user(schema, history) -> dict:
-    user_id, profile = make_users(schema, 1)[0]
-    results = {}
+def bench(system, cells, label: str) -> dict:
     timings = {}
-    for engine in ("scalar", "batch"):
-        system = build_system(schema, history, engine)
-        system.create_session(user_id, profile)  # warm-up (thresholds cache)
+    for name, search in SEARCHES.items():
         start = time.perf_counter()
-        results[engine] = [system.create_session(user_id, profile)]
-        timings[engine] = time.perf_counter() - start
-    assert_equivalent(results["scalar"], results["batch"])
+        run(system, cells, search)
+        timings[name] = time.perf_counter() - start
     speedup = timings["scalar"] / timings["batch"]
     print(
-        f"single-user   scalar {timings['scalar'] * 1e3:8.1f} ms"
+        f"{label:<12} scalar {timings['scalar'] * 1e3:8.1f} ms"
         f"   batch {timings['batch'] * 1e3:8.1f} ms   speedup {speedup:5.2f}x"
     )
-    return {
-        "single_scalar_s": timings["scalar"],
-        "single_batch_s": timings["batch"],
-        "single_speedup": speedup,
-    }
-
-
-def bench_multi_user(schema, history, n_users: int) -> dict:
-    users = make_users(schema, n_users)
-
-    scalar_system = build_system(schema, history, "scalar")
-    scalar_system.create_session(*users[0])  # warm-up
-    start = time.perf_counter()
-    scalar_sessions = [
-        scalar_system.create_session(uid, profile) for uid, profile in users
-    ]
-    scalar_elapsed = time.perf_counter() - start
-
-    batch_system = build_system(schema, history, "batch")
-    batch_system.create_session(*users[0])  # warm-up
-    start = time.perf_counter()
-    batch_sessions = batch_system.create_sessions(users)
-    batch_elapsed = time.perf_counter() - start
-
-    assert_equivalent(scalar_sessions, batch_sessions)
-    speedup = scalar_elapsed / batch_elapsed
-    per_user = batch_elapsed / n_users * 1e3
-    print(
-        f"{n_users:3d}-user      scalar {scalar_elapsed * 1e3:8.1f} ms"
-        f"   batch {batch_elapsed * 1e3:8.1f} ms   speedup {speedup:5.2f}x"
-        f"   ({per_user:.1f} ms/user batched)"
-    )
-    return {
-        "multi_scalar_s": scalar_elapsed,
-        "multi_batch_s": batch_elapsed,
-        "multi_speedup": speedup,
-    }
+    return {"scalar_s": timings["scalar"], "batch_s": timings["batch"],
+            "speedup": speedup}
 
 
 def main() -> None:
@@ -148,18 +115,21 @@ def main() -> None:
 
     schema = lending_schema()
     history = make_lending_dataset(n_per_year=n_per_year, random_state=1)
+    system = build_system(schema, history)
+    single = make_cells(system, 1)
+    multi = make_cells(system, n_users)
+    assert_equivalent(system, multi)
     print(
-        f"batch-engine benchmark (users={n_users}, n_per_year={n_per_year})"
+        f"search benchmark (users={n_users}, n_per_year={n_per_year})"
         " — candidate sets verified identical before timing"
     )
+    run(system, single, CandidateGenerator.generate)  # warm-up (threshold caches)
     results = {"users": n_users, "n_per_year": n_per_year, "quick": args.quick}
-    results.update(bench_single_user(schema, history))
-    results.update(bench_multi_user(schema, history, n_users))
-    speedup = results["multi_speedup"]
-    if speedup < 3.0:
-        print(f"WARNING: multi-user speedup {speedup:.2f}x is below the 3x target")
-    else:
-        print(f"multi-user speedup target met: {speedup:.2f}x >= 3x")
+    for label, cells in (("single-user", single), (f"{n_users}-user", multi)):
+        prefix = "single" if cells is single else "multi"
+        results.update(
+            {f"{prefix}_{k}": v for k, v in bench(system, cells, label).items()}
+        )
     if args.json:
         path = Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)

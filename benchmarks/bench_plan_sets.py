@@ -1,13 +1,11 @@
-"""Plan-set benchmark: identity contracts first, then selection timings.
+"""Plan-set benchmark: identity contracts first, then a distance timing.
 
 Plan sets ride the same byte-identity contract as every other layer, so
 the benchmark is gated on identity **before** a single timer starts:
 
 1. **Digest identity** — the persisted store (candidates now carrying
    ``plan_rank`` / ``plan_quality`` / ``plan_min_dist``) produces the
-   same ``contents_digest`` on sqlite, memory and sharded backends, and
-   the fused engine's batched cross-cell selection matches the per-cell
-   batch engine digest exactly.
+   same ``contents_digest`` on sqlite, memory and sharded backends.
 2. **Legacy digest identity** — a store holding metadata-free rows (the
    pre-plan-set on-disk shape) digests byte-identically under the
    original formula, so historical digests stay comparable.
@@ -17,11 +15,8 @@ the benchmark is gated on identity **before** a single timer starts:
    rewrites cells; every body must equal the pre- or post-refresh
    expected response (torn/stale count must be 0).
 
-Timed after the gates:
-
-* ``select_diverse_batch`` over stacked cells vs the per-cell
-  ``diverse_order`` Python loop (the fused engine's selection path).
-* vectorized ``min_pairwise_distance`` vs the former O(n^2) loop.
+Timed after the gates: vectorized ``min_pairwise_distance`` vs the
+former O(n^2) loop.
 
 Run as a script (not via pytest)::
 
@@ -43,7 +38,7 @@ import numpy as np
 
 from repro.constraints import lending_domain_constraints
 from repro.core import AdminConfig, Candidate, CandidateMetrics, JustInTime
-from repro.core.diversity import diverse_order, min_pairwise_distance, select_diverse_batch
+from repro.core.diversity import min_pairwise_distance
 from repro.core.insights import InsightEngine
 from repro.data import (
     LendingGenerator,
@@ -59,7 +54,7 @@ from repro.temporal import PerPeriodStrategy, lending_update_function
 ALPHA = 0.8
 
 
-def build_system(tmp: Path, *, backend: str, engine: str, T: int,
+def build_system(tmp: Path, *, backend: str, T: int,
                  n_users: int, n_per_year: int, n_shards: int = 2) -> JustInTime:
     tmp.mkdir(parents=True, exist_ok=True)
     schema = lending_schema()
@@ -67,10 +62,10 @@ def build_system(tmp: Path, *, backend: str, engine: str, T: int,
         schema,
         lending_update_function(schema),
         AdminConfig(T=T, strategy=PerPeriodStrategy(), k=5, beam_width=6,
-                    max_iter=8, patience=3, random_state=0, engine=engine),
+                    max_iter=8, patience=3, random_state=0),
         domain_constraints=lending_domain_constraints(schema),
         store_path=":memory:" if backend == "memory"
-        else str(tmp / f"{backend}-{engine}.db"),
+        else str(tmp / f"{backend}.db"),
         store_backend=backend,
         n_shards=n_shards,
     )
@@ -90,18 +85,12 @@ def build_system(tmp: Path, *, backend: str, engine: str, T: int,
 
 def assert_digest_identity(tmp: Path, T: int, n_users: int,
                            n_per_year: int) -> str:
-    """Gate 1: one digest across backends AND across engines."""
+    """Gate 1: one digest across backends."""
     digests = {}
-    for backend, engine in (
-        ("sqlite", "batch"),
-        ("memory", "batch"),
-        ("sharded", "batch"),
-        ("sqlite", "fused"),
-    ):
-        system = build_system(tmp / f"dig-{backend}-{engine}", backend=backend,
-                              engine=engine, T=T, n_users=n_users,
-                              n_per_year=n_per_year)
-        digests[(backend, engine)] = system.store.contents_digest()
+    for backend in ("sqlite", "memory", "sharded"):
+        system = build_system(tmp / f"dig-{backend}", backend=backend,
+                              T=T, n_users=n_users, n_per_year=n_per_year)
+        digests[backend] = system.store.contents_digest()
         system.store.close()
     assert len(set(digests.values())) == 1, (
         f"plan-set stores digest differently: {digests}"
@@ -270,43 +259,6 @@ def live_refresh_gate(system, users, feature: str, n_readers: int) -> int:
 # --------------------------------------------------------------- timings
 
 
-def synth_cells(rng, n_cells: int, cell_size: int, d: int):
-    sizes = [int(rng.integers(max(2, cell_size // 2), cell_size + 1))
-             for _ in range(n_cells)]
-    points = rng.normal(size=(sum(sizes), d))
-    quality = rng.random(sum(sizes))
-    return points, quality, sizes
-
-
-def time_batch_selection(n_cells: int, cell_size: int, k: int,
-                         repeats: int) -> dict[str, float]:
-    rng = np.random.default_rng(3)
-    points, quality, sizes = synth_cells(rng, n_cells, cell_size, d=4)
-    offsets = np.r_[0, np.cumsum(sizes)]
-
-    def per_cell():
-        return [
-            diverse_order(points[offsets[g]:offsets[g + 1]],
-                          quality[offsets[g]:offsets[g + 1]], k)
-            for g in range(n_cells)
-        ]
-
-    # identity before timing, every repeat uses verified-equal paths
-    assert select_diverse_batch(points, quality, sizes, k) == per_cell()
-
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        per_cell()
-    loop_s = (time.perf_counter() - t0) / repeats
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        select_diverse_batch(points, quality, sizes, k)
-    batch_s = (time.perf_counter() - t0) / repeats
-    return {"cells": n_cells, "per_cell_ms": loop_s * 1e3,
-            "batch_ms": batch_s * 1e3,
-            "speedup": loop_s / batch_s if batch_s else float("inf")}
-
-
 def time_min_pairwise(n: int, repeats: int) -> dict[str, float]:
     rng = np.random.default_rng(4)
     points = rng.normal(size=(n, 5))
@@ -347,7 +299,6 @@ def main() -> None:
     n_users = 4 if args.smoke else 6 if args.quick else 16
     n_per_year = 40 if small else 100
     n_readers = 4 if small else 12
-    n_cells = 64 if small else 256
     repeats = 3 if small else 10
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_plan_sets_"))
@@ -356,12 +307,12 @@ def main() -> None:
     # ---- identity gates, before any timing ------------------------------
     digest = assert_digest_identity(tmp, T, n_users, n_per_year)
     print("verified: contents_digest identical on sqlite/memory/sharded"
-          f" and batch-vs-fused engines ({digest[:12]}…)")
+          f" ({digest[:12]}…)")
     assert_legacy_digest_identity()
     print("verified: metadata-free rows digest under the pre-plan-set"
           " formula")
 
-    system = build_system(tmp / "serve", backend="sharded", engine="batch",
+    system = build_system(tmp / "serve", backend="sharded",
                           T=T, n_users=n_users, n_per_year=n_per_year)
     users = [f"user-{i:03d}" for i in range(n_users)]
     feature = default_feature(system.schema)
@@ -378,12 +329,6 @@ def main() -> None:
           " epoch all match the pre- or post-refresh body (torn: 0)")
 
     # ---- timings --------------------------------------------------------
-    selection = time_batch_selection(n_cells, cell_size=40, k=5,
-                                     repeats=repeats)
-    print(f"select_diverse_batch over {selection['cells']} cells:"
-          f" per-cell loop {selection['per_cell_ms']:8.2f} ms,"
-          f" batched {selection['batch_ms']:8.2f} ms"
-          f" ({selection['speedup']:.1f}x)")
     pairwise = time_min_pairwise(80 if small else 300, repeats=repeats)
     print(f"min_pairwise_distance n={pairwise['n']}:"
           f" loop {pairwise['loop_ms']:8.2f} ms,"
@@ -400,7 +345,6 @@ def main() -> None:
             "smoke": args.smoke,
             "digest": digest,
             "responses_validated_during_refresh": validated,
-            "batch_selection": selection,
             "min_pairwise": pairwise,
         }, indent=2))
         print(f"results written to {path}")

@@ -5,23 +5,15 @@ from repro.core.candidates import (
     CandidateGenerator,
     SearchStats,
     brute_force_tree_candidates,
-    engine_names,
     search_counter_totals,
 )
 from repro.core.diversity import (
     diverse_order,
     min_pairwise_distance,
     select_diverse,
-    select_diverse_batch,
     select_greedy,
 )
 from repro.core.evaluation import CandidateSetReport, evaluate_session
-from repro.core.fused import (
-    EpochProposalCache,
-    FusedCell,
-    FusedReport,
-    generate_fused,
-)
 from repro.core.insights import QUESTIONS, Insight, InsightEngine, PlanAlternative
 from repro.core.moves import (
     GradientMoveProposer,
@@ -64,11 +56,7 @@ __all__ = [
     "DriftDecision",
     "DriftGate",
     "EpochOutcome",
-    "EpochProposalCache",
     "FeatureChange",
-    "FusedCell",
-    "FusedReport",
-    "generate_fused",
     "GradientMoveProposer",
     "Insight",
     "InsightEngine",
@@ -92,7 +80,6 @@ __all__ = [
     "brute_force_tree_candidates",
     "build_plan",
     "drain_stale_cells",
-    "engine_names",
     "search_counter_totals",
     "load_system",
     "save_system",
@@ -103,6 +90,5 @@ __all__ = [
     "min_pairwise_distance",
     "run_worker_pool",
     "select_diverse",
-    "select_diverse_batch",
     "select_greedy",
 ]

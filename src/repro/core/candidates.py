@@ -50,9 +50,6 @@ __all__ = [
     "Candidate",
     "SearchStats",
     "CandidateGenerator",
-    "ENGINES",
-    "register_engine",
-    "engine_names",
     "search_counter_totals",
     "brute_force_tree_candidates",
 ]
@@ -61,28 +58,6 @@ __all__ = [
 _BOUNDARY_WEIGHT = 10.0
 #: Per-violated-constraint penalty in the beam heuristic.
 _VIOLATION_PENALTY = 5.0
-
-#: Registry of candidate-search engines (the enum-registration idiom):
-#: name → one-line description.  ``CandidateGenerator`` implements the
-#: per-cell ``'batch'``/``'scalar'`` pair; cross-cell engines — the fused
-#: multi-cell drain in :mod:`repro.core.fused` — register here so that
-#: ``AdminConfig`` validates ``engine=`` eagerly without importing them.
-ENGINES: dict[str, str] = {}
-
-
-def register_engine(name: str, description: str) -> None:
-    """Register a candidate-search engine name for config validation."""
-    ENGINES[str(name)] = str(description)
-
-
-def engine_names() -> list[str]:
-    """Sorted names of all registered engines."""
-    return sorted(ENGINES)
-
-
-register_engine("batch", "per-cell vectorized beam search (default)")
-register_engine("scalar", "row-at-a-time reference path")
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -137,14 +112,8 @@ class SearchStats:
     converged: bool = False
     best_key_history: list[float] = field(default_factory=list)
     #: proposals dropped by the rounded-row visited-set dedupe before any
-    #: model/constraint evaluation (counted by every engine)
+    #: model/constraint evaluation
     dedupe_hits: int = 0
-    #: rows whose decision score was served from the epoch-level
-    #: cross-cell proposal cache (fused engine only; 0 elsewhere)
-    cache_hits: int = 0
-    #: rows the epoch cache had to score through the model (fused engine
-    #: only; 0 elsewhere)
-    cache_misses: int = 0
 
 
 #: counter fields aggregated across cells by refresh / drain reports
@@ -153,8 +122,6 @@ SEARCH_COUNTER_FIELDS = (
     "proposals_evaluated",
     "valid_found",
     "dedupe_hits",
-    "cache_hits",
-    "cache_misses",
 )
 
 
@@ -169,29 +136,6 @@ def search_counter_totals(stats_iter) -> dict[str, int]:
         for name in SEARCH_COUNTER_FIELDS:
             totals[name] += int(getattr(stats, name, 0))
     return totals
-
-
-@dataclass
-class _BeamState:
-    """Mutable state of one cell's batched beam search.
-
-    Owned by :meth:`CandidateGenerator._generate_batch` and shared with
-    the fused multi-cell engine, which holds one per active cell and
-    advances them in lock-stepped rounds (cells drop out of the round
-    set as ``done`` flips).
-    """
-
-    x_base: np.ndarray
-    time: int
-    rng: np.random.Generator
-    stats: SearchStats
-    pool: dict
-    visited: set
-    best_key: float
-    pool_best: float
-    beam: list
-    stale: int = 0
-    done: bool = False
 
 
 class CandidateGenerator:
@@ -224,17 +168,6 @@ class CandidateGenerator:
         Move proposers; defaults to capability-matched ones.
     random_state:
         Seeds the random exploration moves.
-    engine:
-        ``'batch'`` (default) evaluates every iteration's proposals as
-        stacked arrays — vectorized constraints, metrics and ranking;
-        ``'scalar'`` is the original row-at-a-time reference path.  Both
-        return bit-identical candidates for the same seed.  Caveat: the
-        batch loop calls each proposer once per iteration (over all beam
-        states) while the scalar loop interleaves proposers per state,
-        so with *custom* proposer lists in which more than one proposer
-        consumes the RNG, the draw order — and hence the random moves —
-        can differ between engines.  The default proposers have exactly
-        one RNG consumer, where both orders coincide.
     """
 
     def __init__(
@@ -252,7 +185,6 @@ class CandidateGenerator:
         diff_scale=None,
         proposers: list[MoveProposer] | None = None,
         random_state: int | None = 0,
-        engine: str = "batch",
     ):
         if k < 1:
             raise CandidateSearchError("k must be >= 1")
@@ -285,24 +217,15 @@ class CandidateGenerator:
         self.objective = get_objective(objective)
         self.proposers = proposers if proposers is not None else default_proposers(model)
         self.random_state = random_state
-        if engine not in ("batch", "scalar"):
-            raise CandidateSearchError(
-                f"engine must be 'batch' or 'scalar', got {engine!r}"
-            )
-        self.engine = engine
         self.last_stats_: SearchStats | None = None
 
     # ------------------------------------------------------------ internals
 
     @staticmethod
-    def _state_key(x: np.ndarray) -> tuple:
-        return tuple(np.round(x, 9))
-
-    @staticmethod
     def _row_keys(X: np.ndarray) -> list[bytes]:
         """Rounded-row dedupe keys for a proposal matrix.
 
-        Equivalent to hashing :meth:`_state_key` tuples: ``+ 0.0``
+        Equivalent to hashing ``tuple(np.round(x, 9))``: ``+ 0.0``
         normalises ``-0.0`` to ``+0.0`` so the byte keys collide exactly
         where tuple equality would.
         """
@@ -329,35 +252,11 @@ class CandidateGenerator:
 
     # -------------------------------------------------------------- search
 
-    def _prologue_rows(self, x_base, warm_start=None):
-        """The clipped base vector and clipped warm matrix exactly as
-        :meth:`_prologue` will rebuild them (warm matrix is ``None`` when
-        no warm seeds exist).  The fused engine uses this to pre-score
-        the prologue rows through the epoch cache before starting the
-        cell."""
-        x_clip = self.schema.clip(np.asarray(x_base, dtype=float).ravel())
-        warm_matrix = (
-            None
-            if warm_start is None
-            else np.atleast_2d(np.asarray(warm_start, dtype=float))
-        )
-        if warm_matrix is not None and warm_matrix.size:
-            return x_clip, self.schema.clip_matrix(warm_matrix)
-        return x_clip, None
-
-    def _prologue(
-        self,
-        x_base,
-        time: int,
-        key_fn,
-        warm_start=None,
-        *,
-        base_score=None,
-        warm_scores=None,
-    ):
-        """Shared search setup: clip the input, seed the RNG, and pool
-        the unmodified input if it already flips (the paper's Q1, "no
-        modification").  ``key_fn`` is the engine's state-key function.
+    def _prologue(self, x_base, time: int, key_fn, warm_start=None):
+        """Search setup: clip the input, seed the RNG, and pool the
+        unmodified input if it already flips (the paper's Q1, "no
+        modification").  ``key_fn`` maps a state vector to its
+        visited-set key.
 
         ``warm_start`` is an optional ``(n, d)`` array (or list of
         vectors) of previously found candidates for this cell; each is
@@ -366,26 +265,13 @@ class CandidateGenerator:
         an extra initial beam seed ranked by the beam key.  With
         ``warm_start=None`` the search is bit-identical to the historical
         cold path.
-
-        ``base_score`` / ``warm_scores`` optionally inject the decision
-        scores of the clipped base vector / warm matrix (as returned by
-        :meth:`_prologue_rows`) instead of calling the model here — the
-        fused engine scores the prologue rows of many cells in one
-        grouped, cache-served call.  The injected values must equal what
-        the model would return row-by-row (true for per-row-deterministic
-        scorers such as the tree ensembles).
         """
         x_base = self.schema.clip(np.asarray(x_base, dtype=float).ravel())
         rng = np.random.default_rng(self.random_state)
         stats = SearchStats()
         pool: dict = {}
         visited: set = {key_fn(x_base)}
-        if base_score is None:
-            base_score = float(
-                self.model.decision_score(x_base.reshape(1, -1))[0]
-            )
-        else:
-            base_score = float(base_score)
+        base_score = float(self.model.decision_score(x_base.reshape(1, -1))[0])
         base_metrics = measure(x_base, x_base, base_score, self.diff_scale)
         if base_score > self.threshold and self.constraints.is_valid(
             x_base, x_base, confidence=base_score, time=time
@@ -402,12 +288,7 @@ class CandidateGenerator:
             W = self.schema.clip_matrix(warm_matrix)
             # one model call for all seeds; constraints stay per-row (the
             # seed lists are small — at most the stored k of the cell)
-            if warm_scores is None:
-                warm_scores = np.asarray(
-                    self.model.decision_score(W), dtype=float
-                ).ravel()
-            else:
-                warm_scores = np.asarray(warm_scores, dtype=float).ravel()
+            warm_scores = np.asarray(self.model.decision_score(W), dtype=float).ravel()
             for order in range(W.shape[0]):
                 w = W[order]
                 key = key_fn(w)
@@ -438,68 +319,88 @@ class CandidateGenerator:
         """Return up to ``k`` diverse decision-altering candidates.
 
         ``x_base`` is the temporal input ``f(x, t)`` for this generator's
-        time point; diff/gap are measured against it.  Dispatches to the
-        vectorized batch engine unless ``engine='scalar'`` was requested.
-        ``warm_start`` optionally seeds the beam from previously stored
-        candidates (see :meth:`_prologue`); the incremental refresh uses
-        it to resume the search near the old optimum instead of from the
-        profile.
-        """
-        if self.engine == "batch":
-            return self._generate_batch(x_base, time, warm_start)
-        return self._generate_scalar(x_base, time, warm_start)
+        time point; diff/gap are measured against it.  ``warm_start``
+        optionally seeds the beam from previously stored candidates (see
+        :meth:`_prologue`); the incremental refresh uses it to resume
+        the search near the old optimum instead of from the profile.
 
-    def _generate_scalar(
-        self, x_base, time: int = 0, warm_start=None
-    ) -> list[Candidate]:
-        """Row-at-a-time reference implementation (the pre-batch path)."""
+        One iteration stacks all proposals of the beam into an ``(m, d)``
+        matrix, dedupes it by rounded-row byte keys, then computes
+        scores, metrics, constraint-violation counts and beam keys as
+        single array operations, and re-ranks the beam with a *stable*
+        top-k.  The row-at-a-time reference search in the test suite
+        returns bit-identical candidates for the same seed.
+        """
         x_base, rng, stats, pool, visited, best_key, beam = self._prologue(
-            x_base, time, self._state_key, warm_start
+            x_base, time, lambda x: self._row_keys(x)[0], warm_start
         )
+        # pool only ever grows, so the best pool key is a running minimum
+        pool_best = best_key
         stale = 0
-        for iteration in range(self.max_iter):
-            stats.iterations = iteration + 1
-            proposals: list[np.ndarray] = []
-            for state in beam:
-                for proposer in self.proposers:
-                    proposals.extend(
-                        proposer.propose(state, self.model, self.schema, rng)
-                    )
-            fresh: list[np.ndarray] = []
-            for proposal in proposals:
-                key = self._state_key(proposal)
-                if key not in visited:
-                    visited.add(key)
-                    fresh.append(proposal)
-            stats.dedupe_hits += len(proposals) - len(fresh)
-            if not fresh:
+        for _ in range(self.max_iter):
+            stats.iterations += 1
+            chunks = [
+                proposer.propose_batch(beam, self.model, self.schema, rng)
+                for proposer in self.proposers
+            ]
+            # state-major, proposer-minor: the reference loop's order
+            mats = [chunk[j] for j in range(len(beam)) for chunk in chunks]
+            mats = [m for m in mats if m.shape[0]]
+            if not mats:
                 stats.converged = True
                 break
-            stats.proposals_evaluated += len(fresh)
-            scores = self.model.decision_score(np.vstack(fresh))
-            ranked: list[tuple[float, np.ndarray]] = []
-            for proposal, score in zip(fresh, scores):
-                metrics = measure(proposal, x_base, float(score), self.diff_scale)
-                violations = self.constraints.violated(
-                    proposal, x_base, confidence=float(score), time=time
-                )
-                if not violations and score > self.threshold:
-                    pool[self._state_key(proposal)] = Candidate(
-                        proposal, time, metrics
-                    )
-                    stats.valid_found += 1
-                ranked.append(
-                    (self._beam_key(metrics, len(violations), not pool), proposal)
-                )
-            ranked.sort(key=lambda pair: pair[0])
-            beam = [proposal for _, proposal in ranked[: self.beam_width]]
-            new_best = min(
-                (self.objective.key(c.metrics) for c in pool.values()),
-                default=np.inf,
+            proposals = np.vstack(mats)
+            keys = self._row_keys(proposals)
+            fresh_idx = []
+            fresh_keys = []
+            for i, key in enumerate(keys):
+                if key not in visited:
+                    visited.add(key)
+                    fresh_idx.append(i)
+                    fresh_keys.append(key)
+            stats.dedupe_hits += len(keys) - len(fresh_idx)
+            if not fresh_idx:
+                stats.converged = True
+                break
+            fresh = proposals[fresh_idx]
+            n = fresh.shape[0]
+            stats.proposals_evaluated += n
+            scores = np.asarray(self.model.decision_score(fresh), dtype=float).ravel()
+            metrics = measure_batch(fresh, x_base, scores, self.diff_scale)
+            violation_counts = self.constraints.violation_counts_batch(
+                fresh,
+                x_base,
+                confidence=scores,
+                time=time,
+                diff=metrics.diff if self._shared_diff_scale else None,
+                gap=metrics.gap,
             )
-            stats.best_key_history.append(new_best)
-            if new_best < best_key - 1e-12:
-                best_key = new_best
+            valid = (violation_counts == 0) & (scores > self.threshold)
+            objective_keys = self.objective.key_batch(metrics)
+            # the reference loop checks `not pool` after inserting each
+            # row, so the objective down-weighting switches off as soon as
+            # any earlier row (inclusive) entered the pool this iteration
+            if pool:
+                pool_empty = np.zeros(n, dtype=bool)
+            else:
+                pool_empty = np.cumsum(valid) == 0
+            objective_weight = np.where(pool_empty, 0.1, 1.0)
+            beam_keys = (
+                _BOUNDARY_WEIGHT * np.maximum(0.0, self.threshold - scores)
+                + objective_weight * objective_keys
+                + _VIOLATION_PENALTY * violation_counts
+            )
+            for i in np.flatnonzero(valid):
+                pool[fresh_keys[i]] = Candidate(
+                    fresh[i].copy(), time, metrics.row(int(i))
+                )
+                stats.valid_found += 1
+            if valid.any():
+                pool_best = min(pool_best, float(objective_keys[valid].min()))
+            beam = [fresh[i] for i in self._stable_top(beam_keys, self.beam_width)]
+            stats.best_key_history.append(pool_best)
+            if pool_best < best_key - 1e-12:
+                best_key = pool_best
                 stale = 0
             else:
                 stale += 1
@@ -509,175 +410,6 @@ class CandidateGenerator:
         self.last_stats_ = stats
         return self._finalise(pool)
 
-    def _generate_batch(
-        self, x_base, time: int = 0, warm_start=None
-    ) -> list[Candidate]:
-        """Array-native search loop.
-
-        One iteration is: stack all proposals of the beam into an
-        ``(m, d)`` matrix, dedupe by rounded-row byte keys, then compute
-        scores, metrics, constraint-violation counts and beam keys as
-        single array operations.  Every floating-point reduction matches
-        the scalar path's op order, and ranking uses a *stable* top-k, so
-        the returned candidates are bit-identical to
-        :meth:`_generate_scalar` for the same seed.
-
-        The loop body is factored into :meth:`_propose_step`,
-        :meth:`_dedupe_step` and :meth:`_absorb_step` over a
-        :class:`_BeamState`; the fused multi-cell engine
-        (:mod:`repro.core.fused`) drives the same steps across many
-        cells at once, with only the model-scoring call between them
-        swapped for the grouped, cache-served variant.
-        """
-        state = self._begin_batch(x_base, time, warm_start)
-        for _ in range(self.max_iter):
-            state.stats.iterations += 1
-            pair = self._dedupe_step(state, self._propose_step(state))
-            if pair is None:
-                break
-            fresh, fresh_keys = pair
-            scores = np.asarray(
-                self.model.decision_score(fresh), dtype=float
-            ).ravel()
-            self._absorb_step(state, fresh, fresh_keys, scores)
-            if state.done:
-                break
-        self.last_stats_ = state.stats
-        return self._finalise(state.pool)
-
-    # ------------------------------------------------- batched step kernel
-
-    def _begin_batch(
-        self, x_base, time: int, warm_start=None, *, base_score=None,
-        warm_scores=None,
-    ) -> "_BeamState":
-        """Prologue → mutable :class:`_BeamState` for the batched loop."""
-        x_base, rng, stats, pool, visited, best_key, beam = self._prologue(
-            x_base,
-            time,
-            lambda x: self._row_keys(x)[0],
-            warm_start,
-            base_score=base_score,
-            warm_scores=warm_scores,
-        )
-        # pool only ever grows, so the best pool key is a running minimum
-        return _BeamState(
-            x_base=x_base,
-            time=time,
-            rng=rng,
-            stats=stats,
-            pool=pool,
-            visited=visited,
-            best_key=best_key,
-            pool_best=best_key,
-            beam=beam,
-        )
-
-    def _propose_step(self, state: "_BeamState") -> list[np.ndarray]:
-        """All proposal matrices for the current beam, in scalar order."""
-        chunks = [
-            proposer.propose_batch(state.beam, self.model, self.schema, state.rng)
-            for proposer in self.proposers
-        ]
-        return self._interleave_chunks(chunks, len(state.beam))
-
-    @staticmethod
-    def _interleave_chunks(
-        chunks: list[list[np.ndarray]], n_states: int
-    ) -> list[np.ndarray]:
-        """Re-interleave per-proposer batches state-major, matching the
-        scalar loop's proposal order; empty matrices are dropped."""
-        mats = [chunk[s] for s in range(n_states) for chunk in chunks]
-        return [m for m in mats if m.shape[0]]
-
-    def _dedupe_step(self, state: "_BeamState", mats: list[np.ndarray]):
-        """Visited-set dedupe of one iteration's proposals.
-
-        Returns ``(fresh, fresh_keys)`` — the unvisited rows and their
-        byte keys — or ``None`` when the iteration produced nothing new,
-        in which case the search is marked converged/done.
-        """
-        if not mats:
-            state.stats.converged = True
-            state.done = True
-            return None
-        proposals = np.vstack(mats)
-        keys = self._row_keys(proposals)
-        fresh_idx = []
-        fresh_keys = []
-        for i, key in enumerate(keys):
-            if key not in state.visited:
-                state.visited.add(key)
-                fresh_idx.append(i)
-                fresh_keys.append(key)
-        state.stats.dedupe_hits += len(keys) - len(fresh_idx)
-        if not fresh_idx:
-            state.stats.converged = True
-            state.done = True
-            return None
-        fresh = proposals[fresh_idx]
-        state.stats.proposals_evaluated += fresh.shape[0]
-        return fresh, fresh_keys
-
-    def _absorb_step(
-        self,
-        state: "_BeamState",
-        fresh: np.ndarray,
-        fresh_keys: list[bytes],
-        scores: np.ndarray,
-    ) -> None:
-        """Post-scoring remainder of one iteration: metrics, constraint
-        counts, pool inserts, beam re-ranking and the patience check.
-        Sets ``state.done`` when the search converged."""
-        x_base, time, pool, stats = state.x_base, state.time, state.pool, state.stats
-        n = fresh.shape[0]
-        metrics = measure_batch(fresh, x_base, scores, self.diff_scale)
-        violation_counts = self.constraints.violation_counts_batch(
-            fresh,
-            x_base,
-            confidence=scores,
-            time=time,
-            diff=metrics.diff if self._shared_diff_scale else None,
-            gap=metrics.gap,
-        )
-        valid = (violation_counts == 0) & (scores > self.threshold)
-        objective_keys = self.objective.key_batch(metrics)
-        # the scalar loop checks `not pool` after inserting each row,
-        # so the objective down-weighting switches off as soon as any
-        # earlier row (inclusive) entered the pool this iteration
-        if pool:
-            pool_empty = np.zeros(n, dtype=bool)
-        else:
-            pool_empty = np.cumsum(valid) == 0
-        objective_weight = np.where(pool_empty, 0.1, 1.0)
-        beam_keys = (
-            _BOUNDARY_WEIGHT * np.maximum(0.0, self.threshold - scores)
-            + objective_weight * objective_keys
-            + _VIOLATION_PENALTY * violation_counts
-        )
-        for i in np.flatnonzero(valid):
-            pool[fresh_keys[i]] = Candidate(
-                fresh[i].copy(), time, metrics.row(int(i))
-            )
-            stats.valid_found += 1
-        if valid.any():
-            state.pool_best = min(
-                state.pool_best, float(objective_keys[valid].min())
-            )
-        state.beam = [
-            fresh[i] for i in self._stable_top(beam_keys, self.beam_width)
-        ]
-        new_best = state.pool_best
-        stats.best_key_history.append(new_best)
-        if new_best < state.best_key - 1e-12:
-            state.best_key = new_best
-            state.stale = 0
-        else:
-            state.stale += 1
-            if state.stale >= self.patience and pool:
-                stats.converged = True
-                state.done = True
-
     @staticmethod
     def _stable_top(keys: np.ndarray, width: int) -> np.ndarray:
         """Indices of the ``width`` smallest keys, in stable sorted order.
@@ -685,7 +417,7 @@ class CandidateGenerator:
         One ``argpartition`` plus a tie repair at the cut, equivalent to
         a full stable sort followed by ``[:width]`` (ties at the boundary
         resolve to the lowest original indices, like Python's stable
-        ``list.sort`` in the scalar path).
+        ``list.sort``).
         """
         n = keys.size
         if n <= width:
@@ -698,25 +430,17 @@ class CandidateGenerator:
             take = np.concatenate([smaller, tied[: width - smaller.size]])
         return take[np.argsort(keys[take], kind="stable")]
 
-    def _finalise_pool(
-        self, pool: dict[tuple, Candidate]
-    ) -> tuple[list[Candidate], np.ndarray, np.ndarray] | None:
-        """Stack a pool for plan-set selection (``None`` when empty)."""
+    def _finalise(self, pool: dict) -> list[Candidate]:
+        """Select the diverse plan set, annotate it and restore the
+        quality order."""
         candidates = list(pool.values())
         if not candidates:
-            return None
+            return []
         quality = np.array([self.objective.key(c.metrics) for c in candidates])
         points = np.vstack([c.x for c in candidates])
-        return candidates, quality, points
-
-    def _finalise_pack(
-        self,
-        candidates: list[Candidate],
-        quality: np.ndarray,
-        chosen: list[int],
-        min_dists: list[float],
-    ) -> list[Candidate]:
-        """Annotate the selected plan set and restore the quality order."""
+        chosen, min_dists = diverse_order(
+            points, quality, self.k, scale=self.diff_scale
+        )
         chosen_candidates = [
             replace(
                 candidates[i],
@@ -728,16 +452,6 @@ class CandidateGenerator:
         ]
         chosen_candidates.sort(key=lambda c: self.objective.key(c.metrics))
         return chosen_candidates
-
-    def _finalise(self, pool: dict[tuple, Candidate]) -> list[Candidate]:
-        prepared = self._finalise_pool(pool)
-        if prepared is None:
-            return []
-        candidates, quality, points = prepared
-        chosen, min_dists = diverse_order(
-            points, quality, self.k, scale=self.diff_scale
-        )
-        return self._finalise_pack(candidates, quality, chosen, min_dists)
 
 
 # --------------------------------------------------------------------------

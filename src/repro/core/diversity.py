@@ -11,12 +11,8 @@ candidate maximising its minimum (scaled) distance to the already-selected
 ones, with objective quality as the tie-breaker.  :func:`diverse_order`
 is the same selection but also reports, for every chosen plan, its
 distance to the nearest earlier pick — the per-plan diversity metadata
-persisted with stored plan sets.  :func:`select_diverse_batch` runs the
-identical greedy selection for many stacked cells at once (grouped
-pairwise distances, one vectorised step loop instead of a Python loop
-per cell) and is bit-for-bit equivalent to calling :func:`diverse_order`
-per cell.  :func:`min_pairwise_distance` is the diversity score reported
-by the ablation bench.
+persisted with stored plan sets.  :func:`min_pairwise_distance` is the
+diversity score reported by the ablation bench.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ __all__ = [
     "diverse_order",
     "min_pairwise_distance",
     "select_diverse",
-    "select_diverse_batch",
     "select_greedy",
 ]
 
@@ -131,122 +126,6 @@ def diverse_order(
             min_dist, np.linalg.norm(scaled - scaled[pick], axis=1)
         )
     return selected, dists
-
-
-def select_diverse_batch(
-    points: np.ndarray,
-    quality: np.ndarray,
-    group_sizes,
-    ks,
-    *,
-    scale=None,
-    quality_weight: float = 0.25,
-) -> list[tuple[list[int], list[float]]]:
-    """Run :func:`diverse_order` for many stacked cells in one pass.
-
-    ``points``/``quality`` hold every cell's pool stacked group-contiguous;
-    ``group_sizes[g]`` rows belong to cell ``g`` and ``ks[g]`` (or a single
-    int shared by all cells) is its selection size.  Returns one
-    ``(selected, min_dists)`` pair per cell with *cell-local* indices,
-    bit-for-bit identical to the per-cell call: the same elementwise
-    distance, normalisation and score arithmetic runs on the same
-    operands, only batched across cells, and ties break on the first
-    (lowest-index) maximum exactly like ``np.argmax``.  The only Python
-    loop is over selection steps (``max(ks)``), never over cells.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    quality = np.asarray(quality, dtype=float).ravel()
-    sizes = np.asarray(group_sizes, dtype=int).ravel()
-    n_groups = sizes.shape[0]
-    if np.isscalar(ks):
-        k_arr = np.full(n_groups, int(ks), dtype=int)
-    else:
-        k_arr = np.asarray(ks, dtype=int).ravel()
-    if k_arr.shape[0] != n_groups:
-        raise CandidateSearchError("group_sizes and ks disagree on length")
-    if n_groups and (sizes < 1).any():
-        raise CandidateSearchError("group sizes must be >= 1")
-    if n_groups and (k_arr < 1).any():
-        raise CandidateSearchError("k must be >= 1")
-    total = int(sizes.sum())
-    if points.shape[0] != total or quality.shape[0] != total:
-        raise CandidateSearchError(
-            "points and quality must stack exactly group_sizes rows"
-        )
-    if not n_groups:
-        return []
-    scaled = _scaled(points, scale)
-    starts = np.zeros(n_groups, dtype=int)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    group_ids = np.repeat(np.arange(n_groups), sizes)
-
-    # per-group quality stats; max/min are order-independent so reduceat
-    # matches the per-cell quality.max()/quality.min() exactly
-    q_min = np.minimum.reduceat(quality, starts)
-    q_max = np.maximum.reduceat(quality, starts)
-    spread = q_max - q_min
-    has_spread = spread[group_ids] > 0
-    denom = np.where(has_spread, spread[group_ids], 1.0)
-    normalised_quality = np.where(
-        has_spread, (quality - q_min[group_ids]) / denom, 0.0
-    )
-
-    # stable per-group quality order: primary key group, secondary quality;
-    # lexsort is stable, so ties keep the original (lowest-index) order —
-    # the same order np.argsort(quality, kind="stable") yields per cell
-    quality_order = np.lexsort((quality, group_ids))
-
-    small = sizes <= k_arr  # degenerate cells: selection == quality order
-    n_steps = np.where(small, sizes, k_arr)
-    taken = np.zeros(total, dtype=bool)
-    min_dist = np.full(total, np.inf)
-    picks: list[np.ndarray] = []
-    pick_dists: list[np.ndarray] = []
-    for step in range(int(n_steps.max())):
-        active = n_steps > step
-        step_pick = np.full(n_groups, -1, dtype=int)
-        forced = active & small
-        if step == 0:
-            # seed = stable argmin(quality), for every cell at once
-            step_pick[active] = quality_order[starts[active]]
-        else:
-            if forced.any():
-                step_pick[forced] = quality_order[starts[forced] + step]
-            greedy = active & ~small
-            if greedy.any():
-                max_dist = np.maximum.reduceat(min_dist, starts)
-                score = min_dist - quality_weight * normalised_quality * (
-                    np.where(max_dist > 0, max_dist, 1.0)[group_ids]
-                )
-                score[taken] = -np.inf
-                # first-max per group: stable lexsort on (group, -score)
-                # keeps the lowest index among ties, like np.argmax
-                order = np.lexsort((-score, group_ids))
-                step_pick[greedy] = order[starts[greedy]]
-        dist_at_pick = np.full(n_groups, np.inf)
-        dist_at_pick[active] = min_dist[step_pick[active]]
-        taken[step_pick[active]] = True
-        picks.append(step_pick)
-        pick_dists.append(dist_at_pick)
-        # one grouped distance update: every row measures against its own
-        # cell's newest pick, the same np.linalg.norm(..., axis=1) rows
-        # the per-cell loop computes
-        row_active = active[group_ids]
-        pick_rows = step_pick[group_ids]
-        dist = np.linalg.norm(scaled - scaled[np.abs(pick_rows)], axis=1)
-        min_dist[row_active] = np.minimum(
-            min_dist[row_active], dist[row_active]
-        )
-
-    results: list[tuple[list[int], list[float]]] = []
-    for g in range(n_groups):
-        chosen = [
-            int(picks[step][g] - starts[g])
-            for step in range(int(n_steps[g]))
-        ]
-        dists = [float(pick_dists[step][g]) for step in range(int(n_steps[g]))]
-        results.append((chosen, dists))
-    return results
 
 
 def select_greedy(quality: np.ndarray, k: int) -> list[int]:

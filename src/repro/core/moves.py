@@ -155,9 +155,7 @@ class ThresholdMoveProposer(MoveProposer):
         strict >/< splits are two binary searches.
 
         Memoized per ``(feature thresholds, value)``: a beam revisits the
-        same feature values constantly, and the fused multi-cell engine
-        shares one proposer across every cell of a time point, so the
-        same lookups recur across users.  The memo is invalidated with
+        same feature values constantly.  The memo is invalidated with
         the threshold cache when the model changes; callers never mutate
         the returned array (every consumer copies via ``concatenate``).
         """

@@ -23,7 +23,6 @@ Wires the full architecture together:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,13 +31,10 @@ import numpy as np
 from repro.constraints.domain import schema_domain_constraints
 from repro.constraints.evaluate import ConstraintsFunction
 from repro.core.candidates import (
-    ENGINES,
     Candidate,
     CandidateGenerator,
-    engine_names,
     search_counter_totals,
 )
-from repro.core.fused import FusedCell, generate_fused
 from repro.core.insights import Insight, InsightEngine
 from repro.core.objectives import OBJECTIVE_PRESETS, Objective, get_objective
 from repro.core.plans import Plan, build_plan
@@ -80,16 +76,6 @@ class AdminConfig:
     patience: int = 3
     objective: str | Objective = "balanced"
     random_state: int = 0
-    #: candidates generators per (user, time point) are independent
-    #: (§II.B: "they can be executed in parallel"); n_jobs > 1 runs them
-    #: on one shared thread pool.  Results are identical to sequential
-    #: execution (per-t seeds).
-    n_jobs: int = 1
-    #: candidate-search engine: 'batch' (per-cell vectorized), 'scalar'
-    #: (row-at-a-time reference) or 'fused' (cross-cell vectorized drain
-    #: with an epoch-level proposal cache, :mod:`repro.core.fused`); all
-    #: produce identical candidates.
-    engine: str = "batch"
     #: seed refreshed cells' beams from the previously stored candidates
     #: (clipped + revalidated under the new model).  A robustness
     #: feature, not a speed one: still-valid old candidates can never be
@@ -113,11 +99,6 @@ class AdminConfig:
     def __post_init__(self) -> None:
         """Eager validation: fail at configuration time, not deep inside
         the search, and name the allowed values."""
-        if isinstance(self.engine, str) and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r};"
-                f" allowed values: {engine_names()}"
-            )
         if isinstance(self.strategy, str) and self.strategy not in STRATEGY_NAMES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r};"
@@ -161,7 +142,7 @@ class RefreshReport:
     #: resumed — alert on this)
     skipped_stale_cells: int = 0
     #: summed per-cell search counters (iterations, proposals_evaluated,
-    #: dedupe_hits, cache_hits, cache_misses, ...) of the recompute —
+    #: valid_found, dedupe_hits) of the recompute —
     #: the drain-efficiency view; ``None`` when nothing was recomputed
     search: dict | None = None
     #: stale cells a refresh ``budget`` deferred to a later epoch (they
@@ -308,11 +289,9 @@ class JustInTime:
         ``users`` is an iterable of ``(user_id, profile)`` or
         ``(user_id, profile, user_constraints)`` tuples (or dicts with
         those keys).  All (user × time-point) candidates generators are
-        independent, so they are scheduled as one flat task list on a
-        single shared executor (``AdminConfig.n_jobs`` workers) instead
-        of a pool per user, and all database rows are written in one
-        transaction.  Candidates are identical to calling
-        :meth:`create_session` per user, in order.
+        independent (§II.B); they run as one flat task list, and all
+        database rows are written in one transaction.  Candidates are
+        identical to calling :meth:`create_session` per user, in order.
         """
         self._require_fitted()
         cfg = self.config
@@ -334,42 +313,14 @@ class JustInTime:
             for user_id, x, user_constraints in specs
         ]
 
-        def run_one(task):
-            user_index, future_model = task
-            _, _, trajectory, constraints = prepared[user_index]
-            t = future_model.t
-            generator = self._cell_generator(t, constraints)
-            return generator.generate(trajectory[t], time=t), generator.last_stats_
-
-        tasks = [
-            (user_index, future_model)
-            for user_index in range(len(prepared))
-            for future_model in self.future_models
-        ]
-        if getattr(cfg, "engine", "batch") == "fused":
-            fingerprints = self.model_fingerprints
-            fused_cells = [
-                FusedCell(
-                    cell_id=(user_index, future_model.t),
-                    t=future_model.t,
-                    x_base=prepared[user_index][2][future_model.t],
-                    generator=self._cell_generator(
-                        future_model.t, prepared[user_index][3]
-                    ),
-                    model_fp=fingerprints.get(future_model.t) or None,
-                    constraints_key=self._constraints_cache_key(
-                        self._constraint_texts(specs[user_index][2])
-                    ),
+        results = []
+        for _, _, trajectory, constraints in prepared:
+            for future_model in self.future_models:
+                t = future_model.t
+                generator = self._cell_generator(t, constraints)
+                results.append(
+                    (generator.generate(trajectory[t], time=t), generator.last_stats_)
                 )
-                for user_index, future_model in tasks
-            ]
-            outcome, _fused_report = generate_fused(fused_cells)
-            results = [
-                outcome[(user_index, future_model.t)]
-                for user_index, future_model in tasks
-            ]
-        else:
-            results = self._run_tasks(run_one, tasks)
 
         sessions: list[UserSession] = []
         per_user = len(self.future_models)
@@ -385,17 +336,17 @@ class JustInTime:
             bulk_rows.append((user_id, trajectory, all_candidates))
             texts = self._constraint_texts(specs[user_index][2])
             spec_rows.append((user_id, x, texts))
-            session = UserSession(
-                system=self,
-                user_id=user_id,
-                profile=x,
-                trajectory=trajectory,
-                constraints=constraints,
-                candidates=all_candidates,
-                search_stats=stats,
+            sessions.append(
+                UserSession(
+                    system=self,
+                    user_id=user_id,
+                    profile=x,
+                    trajectory=trajectory,
+                    constraints=constraints,
+                    candidates=all_candidates,
+                    search_stats=stats,
+                )
             )
-            session.constraints_key = self._constraints_cache_key(texts)
-            sessions.append(session)
         self.store.store_sessions(
             bulk_rows, fingerprints=self.model_fingerprints, specs=spec_rows
         )
@@ -457,7 +408,6 @@ class JustInTime:
                 candidates=self.store.load_candidates(user_id),
                 search_stats=[],
             )
-            session.constraints_key = self._constraints_cache_key(texts)
             self.sessions[user_id] = session
             restored.append(session)
         return restored
@@ -619,53 +569,20 @@ class JustInTime:
                 ),
             )
 
-        def run_one(task):
-            session, t, warm_vectors = task
-            use_warm = warm_vectors is not None and warm_vectors.size > 0
-            generator = self._cell_generator(
-                t, session.constraints, warm=use_warm
-            )
-            found = generator.generate(
-                session.trajectory[t], time=t, warm_start=warm_vectors
-            )
-            return found, generator.last_stats_
-
-        # warm vectors are prefetched here, on the calling thread: the
-        # sqlite3 connection must not be touched from executor workers
-        tasks = [
-            (
-                session,
-                t,
-                self._warm_vectors(session.user_id, t) if warm else None,
-            )
-            for session in sessions
-            for t in sorted(cell_times[session.user_id])
-        ]
-        if getattr(cfg, "engine", "batch") == "fused":
-            fused_cells = []
-            for session, t, warm_vectors in tasks:
+        tasks = []
+        results = []
+        for session in sessions:
+            for t in sorted(cell_times[session.user_id]):
+                warm_vectors = self._warm_vectors(session.user_id, t) if warm else None
                 use_warm = warm_vectors is not None and warm_vectors.size > 0
-                fused_cells.append(
-                    FusedCell(
-                        cell_id=(session.user_id, t),
-                        t=t,
-                        x_base=session.trajectory[t],
-                        generator=self._cell_generator(
-                            t, session.constraints, warm=use_warm
-                        ),
-                        model_fp=fingerprints.get(t) or None,
-                        warm_start=warm_vectors,
-                        constraints_key=getattr(
-                            session, "constraints_key", None
-                        ),
-                    )
+                generator = self._cell_generator(
+                    t, session.constraints, warm=use_warm
                 )
-            outcome, _fused_report = generate_fused(fused_cells)
-            results = [
-                outcome[(session.user_id, t)] for session, t, _ in tasks
-            ]
-        else:
-            results = self._run_tasks(run_one, tasks)
+                found = generator.generate(
+                    session.trajectory[t], time=t, warm_start=warm_vectors
+                )
+                tasks.append((session, t, warm_vectors))
+                results.append((found, generator.last_stats_))
 
         cells = [
             (session.user_id, t, found, session.trajectory[t])
@@ -748,13 +665,6 @@ class JustInTime:
         patience = cfg.patience
         if warm and getattr(cfg, "warm_patience", None) is not None:
             patience = cfg.warm_patience
-        # getattr: AdminConfig objects unpickled from pre-batch saves
-        # lack the field.  Cross-cell engines ('fused') orchestrate cells
-        # outside the generator, which itself always runs the per-cell
-        # batch kernel.
-        engine = getattr(cfg, "engine", "batch")
-        if engine not in ("batch", "scalar"):
-            engine = "batch"
         return CandidateGenerator(
             future_model.model,
             future_model.threshold,
@@ -767,18 +677,7 @@ class JustInTime:
             objective=cfg.objective,
             diff_scale=self.diff_scale,
             random_state=cfg.random_state + 7919 * (t + 1),
-            engine=engine,
         )
-
-    def _run_tasks(self, run_one, tasks) -> list:
-        """Run independent (user × time-point) tasks on the shared executor."""
-        cfg = self.config
-        if cfg.n_jobs > 1 and len(tasks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=cfg.n_jobs) as pool:
-                return list(pool.map(run_one, tasks))
-        return [run_one(task) for task in tasks]
 
     @staticmethod
     def _constraint_texts(user_constraints) -> list | None:
@@ -815,15 +714,6 @@ class JustInTime:
             else:
                 return None
         return entries
-
-    @staticmethod
-    def _constraints_cache_key(texts) -> str | None:
-        """Deterministic identity of serialisable constraint texts.
-
-        Feeds the fused engine's cell-dedup key; ``None`` (opaque
-        constraints) opts the cell out of deduplication entirely.
-        """
-        return None if texts is None else json.dumps(texts, sort_keys=True)
 
     def _user_spec(self, user) -> tuple[str, np.ndarray, object]:
         """Normalise one ``create_sessions`` entry to (id, vector, constraints)."""
@@ -892,10 +782,6 @@ class UserSession:
         self.constraints = constraints
         self.candidates = candidates
         self.search_stats = search_stats
-        # Deterministic identity of the session's constraints, set by the
-        # session factories when the constraint list is serialisable; the
-        # fused engine uses it as part of its cell-dedup key.
-        self.constraints_key: str | None = None
         self.engine = InsightEngine(
             system.store, user_id, system.time_values
         )

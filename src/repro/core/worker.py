@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.candidates import search_counter_totals
-from repro.core.fused import EpochProposalCache, FusedCell, generate_fused
 from repro.core.persistence import load_system
 from repro.exceptions import StorageError
 
@@ -61,9 +60,8 @@ class WorkerReport:
     #: another worker before the compute started (crash-recovery path)
     lost_leases: int = 0
     #: summed :class:`~repro.core.candidates.SearchStats` counters over
-    #: every cell this worker computed (plus ``cells_deduped`` on the
-    #: fused engine) — the work performed, including computes whose
-    #: lease was lost before the upsert
+    #: every cell this worker computed — the work performed, including
+    #: computes whose lease was lost before the upsert
     search: dict = field(default_factory=dict)
 
 
@@ -93,7 +91,6 @@ def drain_stale_cells(
     warm_start: bool | None = None,
     max_cells: int | None = None,
     claim_schema: str | None = None,
-    engine: str | None = None,
     leader_token: tuple | None = None,
     clock=None,
     sleep=time.sleep,
@@ -134,16 +131,6 @@ def drain_stale_cells(
     crash-recovery guarantee would be vacuous if survivors exited while
     the crashed worker's leases were still ticking.
 
-    ``engine`` overrides :attr:`AdminConfig.engine` for the drain.  With
-    ``'fused'``, each claim batch is recomputed as **one**
-    :func:`~repro.core.fused.generate_fused` call — every cell's beam
-    advances in lock-step, model scoring is grouped across cells, and an
-    :class:`~repro.core.fused.EpochProposalCache` persists across claim
-    batches so identical proposal rows seen under the same model
-    fingerprint are never re-scored.  Surviving cells are written in one
-    grouped ``upsert_cells`` transaction.  The store contents stay
-    byte-identical to the per-cell drain.
-
     ``leader_token`` — a ``(node_id, lease_epoch)`` pair from the
     dispatching HA orchestrator — fences the drain on the leader seat:
     each claim round first verifies the pair still holds the store's
@@ -161,11 +148,6 @@ def drain_stale_cells(
     if worker_id is None:
         worker_id = f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
     warm = bool(cfg.warm_start if warm_start is None else warm_start)
-    engine_name = engine if engine is not None else getattr(cfg, "engine", "batch")
-    fused = engine_name == "fused"
-    # one cache for the whole drain: claim batches under the same model
-    # fingerprints keep hitting rows scored in earlier batches
-    epoch_cache = EpochProposalCache() if fused else None
     fingerprints = system.model_fingerprints
     specs = {
         user_id: (profile, texts)
@@ -173,47 +155,9 @@ def drain_stale_cells(
     }
     trajectories: dict[str, object] = {}
     constraints: dict[str, object] = {}
-    constraint_keys: dict[str, str | None] = {}
     all_stats: list = []
-    cells_deduped = 0
     report = WorkerReport(worker_id=worker_id)
     unrecoverable: set[tuple[str, int]] = set()
-
-    def prepare(user_id: str, t: int) -> bool:
-        """Spec-check + lease renewal + per-user hydration for one claim.
-
-        Returns ``True`` when the cell is ready to compute; skip/lost
-        bookkeeping already done otherwise.
-        """
-        spec = specs.get(user_id)
-        if spec is None or spec[1] is None:
-            # not recomputable by any worker: hand the lease back and
-            # never claim the cell again (it stays stale until the
-            # user's session is recreated — surfaced, like refresh's
-            # skipped_stale_cells)
-            unrecoverable.add((user_id, t))
-            store.release_cells(worker_id, [(user_id, t)])
-            report.skipped_cells.append((user_id, t))
-            return False
-        # re-arm the lease for the compute ahead; a failed renewal
-        # means it expired and another worker owns the cell now
-        renewed = store.renew_leases(
-            worker_id,
-            [(user_id, t)],
-            lease_seconds=lease_seconds,
-            now=clock(),
-        )
-        if not renewed:
-            report.lost_leases += 1
-            return False
-        if user_id not in trajectories:
-            profile, texts = spec
-            trajectories[user_id] = system.update_function.trajectory(
-                profile, cfg.T
-            )
-            constraints[user_id] = system._join_constraints(texts)
-            constraint_keys[user_id] = system._constraints_cache_key(texts)
-        return True
 
     while True:
         if leader_token is not None and not store.verify_leader(
@@ -258,80 +202,33 @@ def drain_stale_cells(
             # the next claim picks the cells up)
             sleep(min(1.0, max(float(lease_seconds) / 4.0, 0.05)))
             continue
-        if fused:
-            ready = [(u, t) for u, t in claimed if prepare(u, t)]
-            if not ready:
-                continue
-            fused_cells = []
-            for user_id, t in ready:
-                warm_vectors = (
-                    system._warm_vectors(user_id, t) if warm else None
-                )
-                use_warm = warm_vectors is not None and warm_vectors.size > 0
-                fused_cells.append(
-                    FusedCell(
-                        cell_id=(user_id, t),
-                        t=t,
-                        x_base=trajectories[user_id][t],
-                        generator=system._cell_generator(
-                            t, constraints[user_id], warm=use_warm
-                        ),
-                        model_fp=fingerprints.get(t) or None,
-                        warm_start=warm_vectors,
-                        constraints_key=constraint_keys[user_id],
-                    )
-                )
-            # heartbeat: one fused call computes the *whole* claim before
-            # anything is written, so with an epoch-sized claim_batch the
-            # compute can outlive lease_seconds — and an expired lease is
-            # never renewed (another worker may have reclaimed the cell),
-            # which would lose every cell and re-claim the same batch
-            # forever.  Renewing the claim's leases each lock-stepped
-            # round (one bulk call, seconds apart) keeps them live for
-            # the duration of the compute.
-            def heartbeat(cells=ready):
-                store.renew_leases(
-                    worker_id,
-                    cells,
-                    lease_seconds=lease_seconds,
-                    now=clock(),
-                )
-
-            outcome, fused_report = generate_fused(
-                fused_cells, cache=epoch_cache, on_round=heartbeat
-            )
-            cells_deduped += fused_report.cells_deduped
-            all_stats.extend(stats for _, stats in outcome.values())
-            # the lock-stepped compute may have outlived the leases:
-            # re-verify ownership per cell before writing — cells whose
-            # lease expired belong to another worker now
-            survivors = []
-            rows = []
-            for user_id, t in ready:
-                if not store.renew_leases(
-                    worker_id,
-                    [(user_id, t)],
-                    lease_seconds=lease_seconds,
-                    now=clock(),
-                ):
-                    report.lost_leases += 1
-                    continue
-                found, _ = outcome[(user_id, t)]
-                rows.append(
-                    (user_id, t, found, trajectories[user_id][t])
-                )
-                survivors.append((user_id, t))
-            if rows:
-                # one grouped transaction for the whole claim batch
-                report.candidates_written += store.upsert_cells(
-                    rows, fingerprints=fingerprints
-                )
-                store.release_cells(worker_id, survivors)
-                report.cells.extend(survivors)
-            continue
         for user_id, t in claimed:
-            if not prepare(user_id, t):
+            spec = specs.get(user_id)
+            if spec is None or spec[1] is None:
+                # not recomputable by any worker: hand the lease back and
+                # never claim the cell again (it stays stale until the
+                # user's session is recreated — surfaced, like refresh's
+                # skipped_stale_cells)
+                unrecoverable.add((user_id, t))
+                store.release_cells(worker_id, [(user_id, t)])
+                report.skipped_cells.append((user_id, t))
                 continue
+            # re-arm the lease for the compute ahead; a failed renewal
+            # means it expired and another worker owns the cell now
+            if not store.renew_leases(
+                worker_id,
+                [(user_id, t)],
+                lease_seconds=lease_seconds,
+                now=clock(),
+            ):
+                report.lost_leases += 1
+                continue
+            if user_id not in trajectories:
+                profile, texts = spec
+                trajectories[user_id] = system.update_function.trajectory(
+                    profile, cfg.T
+                )
+                constraints[user_id] = system._join_constraints(texts)
             trajectory = trajectories[user_id]
             warm_vectors = system._warm_vectors(user_id, t) if warm else None
             use_warm = warm_vectors is not None and warm_vectors.size > 0
@@ -361,7 +258,6 @@ def drain_stale_cells(
             store.release_cells(worker_id, [(user_id, t)])
             report.cells.append((user_id, t))
     report.search = search_counter_totals(all_stats)
-    report.search["cells_deduped"] = cells_deduped
     return report
 
 
@@ -375,7 +271,6 @@ def worker_main(
     claim_batch: int = 2,
     lease_seconds: float = 30.0,
     affinity_index: int | None = None,
-    engine: str | None = None,
     leader_token: tuple | None = None,
     result_path: str | None = None,
 ) -> WorkerReport:
@@ -403,7 +298,6 @@ def worker_main(
             lease_seconds=lease_seconds,
             warm_start=warm_start,
             claim_schema=claim_schema,
-            engine=engine,
             leader_token=leader_token,
         )
     finally:
@@ -442,7 +336,6 @@ def run_worker_pool(
     claim_batch: int = 2,
     lease_seconds: float = 30.0,
     shard_affinity: bool = False,
-    engine: str | None = None,
     start_method: str | None = None,
     timeout: float | None = None,
     stats_store=None,
@@ -491,7 +384,6 @@ def run_worker_pool(
                         claim_batch=claim_batch,
                         lease_seconds=lease_seconds,
                         affinity_index=i if shard_affinity else None,
-                        engine=engine,
                         leader_token=leader_token,
                         result_path=result_path,
                     ),
@@ -533,7 +425,6 @@ def run_worker_pool(
                         (u, int(t)) for u, t in payload["skipped_cells"]
                     ],
                     lost_leases=int(payload["lost_leases"]),
-                    # .get: summaries written by pre-fused worker builds
                     search=payload.get("search", {}),
                 )
             )

@@ -125,6 +125,10 @@ class PreparedQueries:
                 "SELECT time, model_fp FROM temporal_inputs"
                 f" WHERE user_id = {ph} ORDER BY time"
             ),
+            "stamps": (
+                "SELECT time, model_fp, revision FROM temporal_inputs"
+                f" WHERE user_id = {ph} ORDER BY time"
+            ),
             "input": (
                 "SELECT * FROM temporal_inputs"
                 f" WHERE user_id = {ph} AND time = {ph}"
@@ -289,12 +293,24 @@ class PreparedQueries:
         return [int(r["time"]) for r in read(self._sql["times"], (user_id,))]
 
     def cell_fingerprints(self, read: Reader, user_id: str) -> dict[int, str]:
-        """``{time: model_fp}`` ledger slice for one user — the exact
-        cache-invalidation signal of the serving tier."""
+        """``{time: model_fp}`` ledger slice for one user — the model
+        state a served answer reports."""
         return {
             int(r["time"]): str(r["model_fp"])
             for r in read(self._sql["ledger"], (user_id,))
         }
+
+    @staticmethod
+    def stamp_vector(rows) -> tuple:
+        """``((time, model_fp, revision), ...)`` in time order from rows
+        of the ``stamps`` SQL — the serving cache's validation token."""
+        return tuple((int(r[0]), str(r[1]), int(r[2])) for r in rows)
+
+    def cell_stamps(self, read: Reader, user_id: str) -> tuple:
+        """One user's cell stamp vector (:meth:`stamp_vector`): changes
+        on every rewrite of any of the user's cells, including rewrites
+        under an unchanged model."""
+        return self.stamp_vector(read(self._sql["stamps"], (user_id,)))
 
     def temporal_input_row(self, read: Reader, user_id: str, time: int):
         """The raw temporal-input row of one cell, or ``None``."""

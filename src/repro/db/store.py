@@ -4,11 +4,17 @@ The original system stores generated candidates in MySQL; the schema here
 mirrors the paper's two relations (SQLite executes the same SQL92 the
 paper's Figure 2 shows):
 
-``temporal_inputs(user_id, time, <feature columns...>, model_fp)``
+``temporal_inputs(user_id, time, <feature columns...>, model_fp, revision)``
     The future representations ``x_0 .. x_T`` of each user's profile.
     ``model_fp`` records the content fingerprint of the future model the
     cell's candidates were last computed under — one row per (user, t)
     cell, so it doubles as the refresh subsystem's staleness ledger.
+    ``revision`` is the cell's write stamp: every rewrite draws the next
+    value of its schema's ``write_revision`` counter, so it strictly
+    increases across rewrites even when ``model_fp`` stays the same (a
+    user re-running ``create_session`` under unchanged models) and never
+    repeats after a user is cleared and re-created.  The serving cache
+    validates against it; ``contents_digest`` leaves it out.
 
 ``candidates(id, user_id, time, <feature columns...>, diff, gap, p, model_fp,
 plan_rank, plan_quality, plan_min_dist)``
@@ -102,7 +108,10 @@ from repro.exceptions import StorageError
 __all__ = ["CandidateStore"]
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_RESERVED = {"id", "user_id", "time", "diff", "gap", "p", "model_fp", "refreshed_at"}
+_RESERVED = {
+    "id", "user_id", "time", "diff", "gap", "p", "model_fp", "refreshed_at",
+    "revision",
+}
 
 #: statement openers accepted by the read-only expert passthrough
 _READONLY_OPENERS = ("select", "with", "values", "explain")
@@ -228,9 +237,19 @@ class CandidateStore:
                 {feature_cols},
                 model_fp TEXT NOT NULL DEFAULT '',
                 refreshed_at REAL NOT NULL DEFAULT 0,
+                revision INTEGER NOT NULL DEFAULT 0,
                 PRIMARY KEY (user_id, time)
             )
             """,
+            # the schema's write-stamp counter (see _next_revision); it
+            # only ever grows, so stamps survive row deletion unrepeated
+            f"""
+            CREATE TABLE IF NOT EXISTS {db}.write_revision (
+                id INTEGER PRIMARY KEY CHECK (id = 1),
+                n INTEGER NOT NULL
+            )
+            """,
+            f"INSERT OR IGNORE INTO {db}.write_revision (id, n) VALUES (1, 0)",
             f"""
             CREATE TABLE IF NOT EXISTS {db}.candidates (
                 id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -408,6 +427,14 @@ class CandidateStore:
                             f"ALTER TABLE {db}.{table} ADD COLUMN"
                             " refreshed_at REAL NOT NULL DEFAULT 0"
                         )
+                    # pre-revision databases: every cell reads as stamp
+                    # 0, and the counter starts there, so the first
+                    # rewrite already moves past it
+                    if table == "temporal_inputs" and "revision" not in columns:
+                        self._conn.execute(
+                            f"ALTER TABLE {db}.{table} ADD COLUMN"
+                            " revision INTEGER NOT NULL DEFAULT 0"
+                        )
                     # pre-plan-set databases lack the plan metadata; rank
                     # -1 reads as "no stored plan set", which keeps those
                     # rows' digest serialisation byte-identical to before
@@ -511,6 +538,18 @@ class CandidateStore:
             for t, row in enumerate(trajectory)
         ]
 
+    #: columns appended after the feature block in ``temporal_inputs``
+    #: inserts; rows carry the first two, the write appends the revision
+    _INPUT_EXTRA = ("model_fp", "refreshed_at", "revision")
+
+    def _next_revision(self, conn, prefix: str) -> int:
+        """Draw the next write stamp of schema ``prefix`` inside the
+        caller's write transaction (see the module docstring)."""
+        conn.execute(f"UPDATE {prefix}.write_revision SET n = n + 1")
+        return int(
+            conn.execute(f"SELECT n FROM {prefix}.write_revision").fetchone()[0]
+        )
+
     #: columns appended after the feature block in ``candidates`` inserts
     _CANDIDATE_EXTRA = (
         "diff",
@@ -583,11 +622,10 @@ class CandidateStore:
                 f"DELETE FROM {prefix}.temporal_inputs WHERE user_id = {self._ph}",
                 (user_id,),
             )
+            revision = self._next_revision(conn, prefix)
             conn.executemany(
-                self._insert_sql(
-                    prefix, "temporal_inputs", ("model_fp", "refreshed_at")
-                ),
-                rows,
+                self._insert_sql(prefix, "temporal_inputs", self._INPUT_EXTRA),
+                [(*row, revision) for row in rows],
             )
 
     def store_candidates(
@@ -880,6 +918,9 @@ class CandidateStore:
         if not rows:
             return
         ph = self._ph
+        # a journal written before a trailing column existed (e.g. the
+        # revision stamp) restores the columns it has; the rest default
+        columns = columns[: len(rows[0])]
         conn.executemany(
             f"INSERT INTO {prefix}.{table} ({', '.join(columns)})"
             f" VALUES ({', '.join(ph for _ in columns)})",
@@ -906,7 +947,7 @@ class CandidateStore:
                 "plan_quality",
                 "plan_min_dist",
             ],
-            ["user_id", "time", *feats, "model_fp", "refreshed_at"],
+            ["user_id", "time", *feats, *self._INPUT_EXTRA],
         )
 
     def _apply_undo(self, conn, prefix: str, payload: dict) -> None:
@@ -1148,7 +1189,7 @@ class CandidateStore:
         copies = (
             (
                 "temporal_inputs",
-                f"user_id, time, {feats}, model_fp, refreshed_at",
+                f"user_id, time, {feats}, model_fp, refreshed_at, revision",
                 "ORDER BY user_id, time",
             ),
             (
@@ -1184,9 +1225,16 @@ class CandidateStore:
         # shard new_n times): {old_i: {target_i: [users...]}}
         routing: dict[int, dict[int, list[str]]] = {}
         moved = 0
+        # every new shard's write-stamp counter starts above every stamp
+        # any old shard ever issued, so no cell's stamp can repeat
+        top_revision = 0
         for old_i in range(old_n):
             source = sqlite3.connect(f"{path}.shard{old_i}")
             try:
+                top_revision = max(
+                    top_revision,
+                    source.execute("SELECT n FROM write_revision").fetchone()[0],
+                )
                 users = sorted(
                     str(r[0])
                     for r in source.execute(
@@ -1214,6 +1262,9 @@ class CandidateStore:
             try:
                 for statement in ddl:
                     conn.execute(statement)
+                conn.execute(
+                    "UPDATE main.write_revision SET n = ?", (top_revision,)
+                )
                 for old_i in range(old_n):
                     mine = routing[old_i].get(i)
                     if not mine:
@@ -1276,9 +1327,9 @@ class CandidateStore:
                     (user_id, int(time)),
                 )
                 conn.execute(
-                    f"UPDATE {prefix}.temporal_inputs SET model_fp = ''"
-                    f" WHERE user_id = {ph} AND time = {ph}",
-                    (user_id, int(time)),
+                    f"UPDATE {prefix}.temporal_inputs SET model_fp = '',"
+                    f" revision = {ph} WHERE user_id = {ph} AND time = {ph}",
+                    (self._next_revision(conn, prefix), user_id, int(time)),
                 )
 
     # -------------------------------------------------------------- reads
@@ -2567,11 +2618,12 @@ class _CellWrite:
             store._insert_sql(prefix, "candidates", store._CANDIDATE_EXTRA),
             self.rows,
         )
+        revision = store._next_revision(conn, prefix)
         cursor = conn.execute(
             f"UPDATE {prefix}.temporal_inputs SET model_fp = {ph},"
-            f" refreshed_at = {ph}"
+            f" refreshed_at = {ph}, revision = {ph}"
             f" WHERE user_id = {ph} AND time = {ph}",
-            (self.ledger_fp, self.stamp, self.user_id, self.time),
+            (self.ledger_fp, self.stamp, revision, self.user_id, self.time),
         )
         if cursor.rowcount == 0:
             if self.x_row is None:
@@ -2580,10 +2632,8 @@ class _CellWrite:
                     " temporal_inputs row; pass x_t to restore it"
                 )
             conn.execute(
-                store._insert_sql(
-                    prefix, "temporal_inputs", ("model_fp", "refreshed_at")
-                ),
-                self.x_row,
+                store._insert_sql(prefix, "temporal_inputs", store._INPUT_EXTRA),
+                (*self.x_row, revision),
             )
         return len(self.rows)
 
@@ -2632,11 +2682,10 @@ class _SessionWrite:
             f"DELETE FROM {prefix}.temporal_inputs WHERE user_id = {ph}",
             (self.user_id,),
         )
+        revision = store._next_revision(conn, prefix)
         conn.executemany(
-            store._insert_sql(
-                prefix, "temporal_inputs", ("model_fp", "refreshed_at")
-            ),
-            self.input_rows,
+            store._insert_sql(prefix, "temporal_inputs", store._INPUT_EXTRA),
+            [(*row, revision) for row in self.input_rows],
         )
         conn.executemany(
             store._insert_sql(prefix, "candidates", store._CANDIDATE_EXTRA),

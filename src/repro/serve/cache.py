@@ -1,16 +1,18 @@
-"""Bounded rendered-insight cache with exact fingerprint invalidation.
+"""Bounded rendered-insight cache with exact stamp invalidation.
 
 The cache stores fully rendered JSON responses keyed by
-``(user_id, question, params)`` together with the **fingerprint vector**
-— the ``(time, model_fp)`` ledger slice of the user at render time.  A
-hit is only served after the stored vector is compared against the
-*current* ledger, so staleness detection is exact, not a TTL guess: a
-refresh epoch bumps ``model_fp`` only for the cells it rewrote, and any
-entry rendered under an older fingerprint simply fails validation on
-its next lookup.  That validation read is one indexed primary-key scan
-(``temporal_inputs`` is ``PRIMARY KEY (user_id, time)``) versus the
-~15–25 queries of a full bundle render — the serving tier's whole
-speedup lives in that ratio.
+``(user_id, question, params)`` together with a **validation token**.
+The serving tier uses the user's cell stamp vector — ``(time, model_fp,
+revision)`` per cell at render time — and serves a hit only after the
+stored vector equals the *current* one, so staleness detection is
+exact, not a TTL guess.  ``model_fp`` alone is not enough: a user who
+re-runs ``create_session`` while the models stay the same rewrites
+every cell under the same fingerprints.  The store's per-cell
+``revision`` stamp strictly increases on every rewrite, so any entry
+rendered before a rewrite fails validation on its next lookup.  That
+validation read is one indexed primary-key scan (``temporal_inputs`` is
+``PRIMARY KEY (user_id, time)``) versus the ~15–25 queries of a full
+bundle render — the serving tier's whole speedup lives in that ratio.
 
 Entries can also be dropped eagerly (:meth:`invalidate_cells`) when the
 refresh orchestrator reports which cells it rewrote, turning the first
@@ -50,7 +52,7 @@ class CacheStats:
 
 
 class InsightCache:
-    """LRU cache of rendered responses, validated by fingerprint vector.
+    """LRU cache of rendered responses, validated by a stamp vector.
 
     Parameters
     ----------
@@ -65,7 +67,7 @@ class InsightCache:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
         self._lock = threading.Lock()
-        #: key -> (fingerprint vector, rendered payload)
+        #: key -> (validation token, rendered payload)
         self._entries: OrderedDict[CacheKey, tuple[tuple, Any]] = OrderedDict()
         self.stats = CacheStats()
 
@@ -76,17 +78,19 @@ class InsightCache:
     @staticmethod
     def fingerprint_vector(ledger: dict[int, str]) -> tuple:
         """Canonical, hashable form of a ``{time: model_fp}`` ledger
-        slice — the freshness token entries are stored and validated
-        under."""
+        slice, usable as a validation token where fingerprints alone
+        identify the content (the server validates against the stricter
+        cell stamps, see :meth:`repro.db.prepared.PreparedQueries.
+        cell_stamps`)."""
         return tuple(sorted(ledger.items()))
 
     def get(self, key: CacheKey, current_fps: tuple) -> Any | None:
         """The cached payload, iff it was rendered under ``current_fps``.
 
-        ``current_fps`` must be the *caller's fresh read* of the ledger
-        (via :meth:`fingerprint_vector`) — the comparison against it is
-        the exact-invalidation step.  A mismatch drops the entry and
-        reads as a miss.
+        ``current_fps`` must be the *caller's fresh read* of the
+        validation token (the server's cell stamp vector) — the
+        comparison against it is the exact-invalidation step.  A
+        mismatch drops the entry and reads as a miss.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -105,7 +109,7 @@ class InsightCache:
             return payload
 
     def put(self, key: CacheKey, fps: tuple, payload: Any) -> None:
-        """Store ``payload`` rendered under fingerprint vector ``fps``."""
+        """Store ``payload`` rendered under validation token ``fps``."""
         with self._lock:
             self._entries[key] = (fps, payload)
             self._entries.move_to_end(key)

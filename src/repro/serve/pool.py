@@ -73,6 +73,9 @@ class ReplicaStoreView:
     def cell_fingerprints(self, user_id: str) -> dict[int, str]:
         return self._prepared().cell_fingerprints(self.read, user_id)
 
+    def cell_stamps(self, user_id: str) -> tuple:
+        return self._prepared().cell_stamps(self.read, user_id)
+
     def temporal_input(self, user_id: str, time: int) -> np.ndarray:
         row = self._prepared().temporal_input_row(self.read, user_id, time)
         if row is None:

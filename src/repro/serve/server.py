@@ -39,22 +39,24 @@ into decayed per-user priority scores that order its budgeted drains.
 
 Freshness contract
 ------------------
-Every response is rendered against a **consistent fingerprint
-snapshot**: the worker reads the user's ``(time, model_fp)`` ledger,
+Every response is rendered against a **consistent stamp snapshot**: the
+worker reads the user's ``(time, model_fp, revision)`` cell stamps,
 renders (or serves the cache entry validated against exactly that
-vector), then re-reads the ledger and retries if anything moved.
-Fingerprint transitions are one-way within an epoch (old → new, written
-in the same transaction as the candidate rows they describe), so the
-loop converges immediately once the writer's commit lands — and a
-response's ``ledger`` field is therefore always the exact model state
-its ``insights`` were computed under, refresh in flight or not.
+vector), then re-reads the stamps and retries if anything moved.  The
+``revision`` is the store's per-cell write stamp, bumped by every
+rewrite in the same transaction as the candidate rows it describes —
+including a session revision under unchanged models, which leaves
+``model_fp`` as it was.  The loop therefore converges as soon as the
+writer's commit lands, and a response's ``ledger`` field (the
+``{time: model_fp}`` part of the snapshot) is always the exact model
+state its ``insights`` were computed under, refresh in flight or not.
 
 Cache hits replace the ~15–25 queries of a bundle render with a single
-indexed primary-key ledger read plus a dict lookup; replica
+indexed primary-key stamp read plus a dict lookup; replica
 connections (:mod:`repro.serve.pool`) keep even cache *misses* off the
 writers' connections.
 
-Hits are additionally served on a **fast path**: the ledger
+Hits are additionally served on a **fast path**: the stamp
 validation read runs inline on the event-loop thread against a
 dedicated replica (a sub-100µs indexed point read — cheaper than the
 executor round-trip it replaces), and only cache misses pay the
@@ -74,7 +76,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.core.insights import QUESTIONS, InsightEngine
 from repro.db.backends import ShardedSQLiteBackend, SQLiteBackend
-from repro.db.prepared import prepared_for
+from repro.db.prepared import PreparedQueries, prepared_for
 from repro.db.store import CandidateStore
 from repro.exceptions import QueryError, ReproError, StorageError
 from repro.serve.cache import InsightCache
@@ -89,8 +91,8 @@ from repro.serve.protocol import (
 __all__ = ["InsightServer", "ServeError"]
 
 #: bound on render-retry rounds when a refresh keeps landing mid-read;
-#: each round is one ledger read + render, and fingerprint transitions
-#: are one-way, so real convergence takes 1–2 rounds
+#: each round is one stamp read + render, so real convergence takes 1–2
+#: rounds
 _MAX_SNAPSHOT_RETRIES = 50
 
 #: access-log entries buffered on the event-loop thread before one
@@ -213,7 +215,7 @@ class InsightServer:
         # parsed-plan cache keyed on the raw request target
         self._fast_replicas: dict[str, _FastReplica] = {}
         self._fast_built_for: object | None = None
-        self._fast_ledger_sql: str | None = None
+        self._fast_stamps_sql: str | None = None
         self._plan_cache: dict[str, tuple] = {}
         self._executor = ThreadPoolExecutor(
             max_workers=executor_threads, thread_name_prefix="serve"
@@ -439,8 +441,8 @@ class InsightServer:
     def _fast_lookup(self, user: str, key: tuple) -> str | None:
         """Cache-hit fast path, inline on the event-loop thread.
 
-        A hit needs exactly one indexed point read (the fingerprint
-        ledger) to validate — cheaper than the executor round-trip that
+        A hit needs exactly one indexed point read (the user's cell
+        stamps) to validate — cheaper than the executor round-trip that
         dispatching it would cost.  Uses loop-thread-only replicas (no
         locks) with the same rebalance defences as the pool: backend
         identity drops every replica, an inode probe per use catches a
@@ -458,9 +460,9 @@ class InsightServer:
                 replica.conn.close()
             self._fast_replicas.clear()
             self._fast_built_for = backend
-            self._fast_ledger_sql = prepared_for(
+            self._fast_stamps_sql = prepared_for(
                 self.store.placeholder, self.store.schema.names
-            )._sql["ledger"]
+            )._sql["stamps"]
         schema = backend.schema_for(user)
         replica = self._fast_replicas.get(schema)
         if replica is not None and self._inode(replica.path) != replica.inode:
@@ -476,7 +478,7 @@ class InsightServer:
             replica = _FastReplica(opened[0], path, self._inode(path))
             self._fast_replicas[schema] = replica
         try:
-            rows = replica.conn.execute(self._fast_ledger_sql, (user,)).fetchall()
+            rows = replica.conn.execute(self._fast_stamps_sql, (user,)).fetchall()
         except sqlite3.Error:
             # replica went stale under us (file replaced mid-probe):
             # drop it and let the executor path answer this request
@@ -485,10 +487,7 @@ class InsightServer:
             return None
         if not rows:
             raise ServeError(404, f"unknown user {user!r}")
-        # the ledger SQL is ORDER BY time, so the rows already form the
-        # sorted fingerprint vector the cache validates against
-        fps = tuple((int(row[0]), str(row[1])) for row in rows)
-        return self.cache.get(key, fps)
+        return self.cache.get(key, PreparedQueries.stamp_vector(rows))
 
     @staticmethod
     def _inode(path: str) -> int | None:
@@ -690,7 +689,7 @@ class InsightServer:
         self, user: str, key: tuple, render, want_freshness: bool = False
     ) -> str:
         """Serve ``key`` from cache or render it — under a consistent
-        fingerprint snapshot (see module docstring).
+        stamp snapshot (see module docstring).
 
         Freshness-annotated responses bypass the cache in both
         directions: ``meta.freshness`` is wall-clock-dependent, so a
@@ -700,23 +699,23 @@ class InsightServer:
         use_cache = self.cache_enabled and not want_freshness
         with self.pool.view(user) as view:
             for _ in range(_MAX_SNAPSHOT_RETRIES):
-                ledger = view.cell_fingerprints(user)
-                if not ledger:
+                stamps = view.cell_stamps(user)
+                if not stamps:
                     raise ServeError(404, f"unknown user {user!r}")
-                fps = InsightCache.fingerprint_vector(ledger)
                 if use_cache:
-                    hit = self.cache.get(key, fps)
+                    hit = self.cache.get(key, stamps)
                     if hit is not None:
                         return hit
                 rendered = render(view)
-                if view.cell_fingerprints(user) != ledger:
-                    continue  # a refresh landed mid-render: re-read
+                if view.cell_stamps(user) != stamps:
+                    continue  # a write landed mid-render: re-read
                 freshness = (
                     self._bundle_freshness(view, user) if want_freshness else None
                 )
+                ledger = {t: fp for t, fp, _ in stamps}
                 body = self._serialize(user, ledger, rendered, freshness)
                 if use_cache:
-                    self.cache.put(key, fps, body)
+                    self.cache.put(key, stamps, body)
                 return body
         raise ServeError(503, "store is being rewritten faster than it can be read")
 

@@ -67,6 +67,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             make_parser().parse_args(["--strategy", "magic", "demo"])
 
+    @pytest.mark.parametrize(
+        "verb", [["refresh"], ["refresh-workers"],
+                 ["refresh-orchestrator", "--feed", "f.csv"]],
+    )
+    def test_removed_engine_flag_is_a_usage_error(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args([*verb, "--engine", "fused"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
     def test_shared_runtime_flags_on_every_refresh_verb(self):
         """The argparse parents land --budget/--cold on each verb of the
         refresh family without per-subparser re-declaration."""
@@ -78,10 +88,8 @@ class TestParser:
              "--budget", "3"]
         )
         assert daemon.budget == 3 and daemon.cold is False
-        workers = parser.parse_args(
-            ["refresh-workers", "--budget", "7", "--engine", "fused"]
-        )
-        assert workers.budget == 7 and workers.engine == "fused"
+        workers = parser.parse_args(["refresh-workers", "--budget", "7"])
+        assert workers.budget == 7
         orch = parser.parse_args(
             ["refresh-orchestrator", "--feed", "f.csv", "--cadence", "1",
              "--budget", "4", "--sla-epochs", "2",

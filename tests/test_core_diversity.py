@@ -7,7 +7,6 @@ from repro.core import (
     diverse_order,
     min_pairwise_distance,
     select_diverse,
-    select_diverse_batch,
     select_greedy,
 )
 from repro.exceptions import CandidateSearchError
@@ -137,51 +136,6 @@ class TestDiverseOrder:
         assert order == [1, 2, 0]
         assert dists[0] == float("inf")
         assert len(dists) == 3
-
-
-class TestSelectDiverseBatch:
-    def _random_groups(self, rng, n_groups):
-        sizes, ks, pts, qs = [], [], [], []
-        for _ in range(n_groups):
-            n = int(rng.integers(1, 25))
-            sizes.append(n)
-            ks.append(int(rng.integers(1, 10)))
-            pts.append(rng.normal(size=(n, 3)))
-            qs.append(rng.random(n))
-        return sizes, ks, pts, qs
-
-    def test_bitwise_identical_to_per_cell(self, rng):
-        for _ in range(20):
-            sizes, ks, pts, qs = self._random_groups(rng, int(rng.integers(1, 6)))
-            scale = np.abs(rng.normal(size=3)) + 0.1
-            batch = select_diverse_batch(
-                np.vstack(pts), np.concatenate(qs), sizes, ks, scale=scale
-            )
-            for g, (chosen, dists) in enumerate(batch):
-                ref_chosen, ref_dists = diverse_order(
-                    pts[g], qs[g], ks[g], scale=scale
-                )
-                assert chosen == ref_chosen
-                assert dists == ref_dists
-
-    def test_scalar_k_broadcasts(self, rng):
-        sizes, _, pts, qs = self._random_groups(rng, 4)
-        batch = select_diverse_batch(
-            np.vstack(pts), np.concatenate(qs), sizes, 3
-        )
-        for g, (chosen, dists) in enumerate(batch):
-            assert (chosen, dists) == diverse_order(pts[g], qs[g], 3)
-
-    def test_empty_groups_list(self):
-        assert select_diverse_batch(np.empty((0, 2)), [], [], []) == []
-
-    def test_size_mismatch_raises(self, rng):
-        with pytest.raises(CandidateSearchError):
-            select_diverse_batch(rng.normal(size=(5, 2)), rng.random(5), [3], [2])
-
-    def test_bad_k_raises(self, rng):
-        with pytest.raises(CandidateSearchError):
-            select_diverse_batch(rng.normal(size=(5, 2)), rng.random(5), [5], [0])
 
 
 class TestMinPairwiseDistance:

@@ -12,12 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    diverse_order,
-    select_diverse,
-    select_diverse_batch,
-    select_greedy,
-)
+from repro.core import select_diverse, select_greedy
 
 #: bounded, finite floats — selection arithmetic is exercised, not the
 #: IEEE edge cases (the engine never produces inf/nan points)
@@ -115,23 +110,3 @@ def test_greedy_is_stable_quality_topk(pool):
     chosen = select_greedy(quality, k)
     expected = list(np.argsort(quality, kind="stable")[:k])
     assert [int(i) for i in chosen] == [int(i) for i in expected]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(pools(max_n=15, max_d=3), min_size=1, max_size=4))
-def test_batch_equals_per_cell(cells):
-    """The vectorized batch selection is exactly the per-cell loop."""
-    # every cell in one batch shares the feature dimension
-    d = cells[0][0].shape[1]
-    cells = [(p[:, :1].repeat(d, axis=1) if p.shape[1] != d else p, q, k)
-             for p, q, k in cells]
-    batch = select_diverse_batch(
-        np.vstack([p for p, _, _ in cells]),
-        np.concatenate([q for _, q, _ in cells]),
-        [p.shape[0] for p, _, _ in cells],
-        [k for _, _, k in cells],
-    )
-    for (p, q, k), (chosen, dists) in zip(cells, batch):
-        ref_chosen, ref_dists = diverse_order(p, q, k)
-        assert chosen == ref_chosen
-        assert dists == ref_dists

@@ -78,27 +78,6 @@ class CrashingStore:
         return attr
 
 
-class OpRecordingStore:
-    """Store proxy that records the drain-op sequence without crashing —
-    used to *find* an op index (e.g. "right after the grouped upsert")
-    when the sequence is workload-dependent, as with the fused drain's
-    per-round lease heartbeats."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.trace: list[str] = []
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if name in DRAIN_OPS:
-            def recorded(*args, _attr=attr, _name=name, **kwargs):
-                self.trace.append(_name)
-                return _attr(*args, **kwargs)
-
-            return recorded
-        return attr
-
-
 class FakeClock:
     def __init__(self, now: float = 1000.0):
         self.now = float(now)
@@ -393,123 +372,6 @@ class TestAffinityDrainIdentity:
         assert real_store.lease_rows() == []
         assert real_store.contents_digest() == expected
         real_store.close()
-
-
-@pytest.mark.parametrize("backend", ["sqlite", "sharded"])
-class TestFusedDrainCrashRecovery:
-    """The fused engine batches a whole claim under one lock-stepped
-    compute and one grouped upsert, so a crash loses (at most) a claim
-    batch of work instead of one cell — but the recovery contract is
-    unchanged: after lease expiry a survivor (fused or per-cell) drains
-    the remainder to the **per-cell reference digest**."""
-
-    def drain_fused_with_crash(
-        self, schema, history, drift_data, tmp_path, backend, crash_at,
-        survivor_engine,
-    ):
-        db = tmp_path / "cands.db"
-        system = build_refit_system(schema, history, drift_data, db, backend)
-        clock = FakeClock(1000.0)
-        real_store = system.store
-        system.store = CrashingStore(real_store, crash_at)
-        crashed = False
-        try:
-            drain_stale_cells(
-                system,
-                worker_id="doomed",
-                warm_start=False,
-                clock=clock,
-                lease_seconds=LEASE_SECONDS,
-                claim_batch=3,
-                engine="fused",
-            )
-        except WorkerCrashed:
-            crashed = True
-        finally:
-            system.store = real_store
-        clock.now += LEASE_SECONDS + 1.0
-        survivor = drain_stale_cells(
-            system,
-            worker_id="survivor",
-            warm_start=False,
-            clock=clock,
-            lease_seconds=LEASE_SECONDS,
-            claim_batch=3,
-            engine=survivor_engine,
-        )
-        digest = system.store.contents_digest()
-        stale = system.store.stale_cells(system.model_fingerprints)
-        leases = system.store.lease_rows()
-        system.store.close()
-        assert stale == []
-        assert leases == []
-        return crashed, digest, survivor
-
-    def test_seeded_random_crash_points(
-        self, schema, history, drift_data, tmp_path, backend, reference_digests
-    ):
-        """Seeded crash schedule over the fused drain loop — every kill
-        point (mid-claim, mid-renew, before the grouped upsert, before
-        release) must recover to the uninterrupted reference digest."""
-        expected, total_cells = reference_digests[backend]
-        rng = np.random.default_rng(0xF05ED)
-        upper = 6 * total_cells + 4
-        points = sorted(
-            {0, 1, upper, *(int(p) for p in rng.integers(2, upper, size=5))}
-        )
-        for i, crash_at in enumerate(points):
-            workdir = tmp_path / f"crash-{crash_at}"
-            workdir.mkdir()
-            # alternate who finishes the job: the fused and per-cell
-            # drains must be interchangeable mid-recovery
-            survivor_engine = "fused" if i % 2 else "batch"
-            crashed, digest, _ = self.drain_fused_with_crash(
-                schema, history, drift_data, workdir, backend, crash_at,
-                survivor_engine,
-            )
-            assert digest == expected, (
-                f"store diverged after fused crash at op {crash_at}"
-                f" (survivor={survivor_engine})"
-            )
-
-    def test_crash_before_grouped_release(
-        self, schema, history, drift_data, tmp_path, backend, reference_digests
-    ):
-        """Die right after the grouped upsert, before the batch release:
-        the whole claim batch is fresh, its orphaned leases are pruned,
-        and the survivor completes only the remaining cells."""
-        expected, total_cells = reference_digests[backend]
-        # the lease heartbeat renews once per lock-stepped round, so the
-        # grouped upsert's op index depends on how many rounds the
-        # search runs — trace an identical uninterrupted drain and die
-        # before the op that follows the first upsert (the release)
-        trace_dir = tmp_path / "trace"
-        trace_dir.mkdir()
-        system = build_refit_system(
-            schema, history, drift_data, trace_dir / "cands.db", backend
-        )
-        real_store = system.store
-        recorder = OpRecordingStore(real_store)
-        system.store = recorder
-        drain_stale_cells(
-            system,
-            worker_id="tracer",
-            warm_start=False,
-            clock=FakeClock(1000.0),
-            lease_seconds=LEASE_SECONDS,
-            claim_batch=3,
-            engine="fused",
-        )
-        system.store = real_store
-        real_store.close()
-        crash_at = recorder.trace.index("upsert_cells") + 1
-        assert recorder.trace[crash_at] == "release_cells"
-        crashed, digest, survivor = self.drain_fused_with_crash(
-            schema, history, drift_data, tmp_path, backend, crash_at, "fused"
-        )
-        assert crashed
-        assert digest == expected
-        assert len(survivor.cells) == total_cells - 3
 
 
 class LeaderKilled(RuntimeError):

@@ -90,3 +90,45 @@ class TestAdminCli:
         code = main(["--load", str(pkl), "quickstart"])
         assert code == 0
         assert "Plans and Insights" in capsys.readouterr().out
+
+
+class TestRemovedKnobCompatibility:
+    """Saved states predating the single search engine still carry the
+    ``engine`` / ``n_jobs`` config fields; they load and refresh to the
+    same store contents as a state saved without them."""
+
+    def _refreshed_digest(self, schema, tmp_path, name, legacy):
+        config = AdminConfig(
+            T=2, strategy="last", k=3, max_iter=6, random_state=0,
+            warm_start=False,
+        )
+        if legacy:
+            # the pickled shape of a pre-removal AdminConfig
+            config.engine = "fused"
+            config.n_jobs = 3
+        system = JustInTime(
+            schema, lending_update_function(schema), config,
+            store_path=tmp_path / f"{name}.db",
+        )
+        system.fit(make_lending_dataset(n_per_year=60, random_state=5))
+        system.create_sessions([("u0", john_profile()), ("u1", john_profile())])
+        pkl = tmp_path / f"{name}.pkl"
+        save_system(system, pkl)
+        system.store.close()
+        loaded = load_system(pkl, store_path=tmp_path / f"{name}.db")
+        assert getattr(loaded.config, "engine", None) == (
+            "fused" if legacy else None
+        )
+        loaded.resume_sessions()
+        report = loaded.refresh(make_lending_dataset(n_per_year=20, random_state=9))
+        assert report.cells_recomputed > 0
+        digest = loaded.store.contents_digest()
+        loaded.store.close()
+        return digest
+
+    def test_legacy_config_loads_and_refreshes_to_same_digest(
+        self, schema, tmp_path
+    ):
+        assert self._refreshed_digest(
+            schema, tmp_path, "legacy", legacy=True
+        ) == self._refreshed_digest(schema, tmp_path, "current", legacy=False)

@@ -3,8 +3,7 @@
 Covers the whole thread: candidate metadata round-trips through every
 backend, ``contents_digest`` folds plan-set metadata in deterministically
 (and leaves metadata-free rows byte-identical to the pre-plan-set
-formula), the fused engine's batched selection produces the same digest
-as the per-cell batch engine, the insight layer's ``plans=k``
+formula), the insight layer's ``plans=k``
 alternatives view, the serving tier's ``?plans=k`` (including the
 default's byte-identity and cache revalidation), and ``query --plans``.
 """
@@ -51,7 +50,7 @@ def make_users(schema, n=3):
     return users
 
 
-def build_system(schema, history, db, backend, engine, n_shards=2):
+def build_system(schema, history, db, backend, n_shards=2):
     system = JustInTime(
         schema,
         lending_update_function(schema),
@@ -63,7 +62,6 @@ def build_system(schema, history, db, backend, engine, n_shards=2):
             max_iter=8,
             patience=3,
             random_state=11,
-            engine=engine,
         ),
         domain_constraints=lending_domain_constraints(schema),
         store_path=":memory:" if backend == "memory" else db,
@@ -84,7 +82,7 @@ def history():
 def populated(schema, history, tmp_path_factory):
     """A generated sqlite system — the workhorse for the e2e tests."""
     tmp = tmp_path_factory.mktemp("plansets")
-    system = build_system(schema, history, tmp / "plans.db", "sqlite", "batch")
+    system = build_system(schema, history, tmp / "plans.db", "sqlite")
     yield system
     system.store.close()
 
@@ -192,25 +190,12 @@ class TestDigestContract:
         digests = {}
         for backend in ("sqlite", "memory", "sharded"):
             system = build_system(
-                schema, history, tmp_path / f"{backend}.db", backend, "batch"
+                schema, history, tmp_path / f"{backend}.db", backend
             )
             digests[backend] = system.store.contents_digest()
             system.store.close()
         assert len(set(digests.values())) == 1, digests
 
-    def test_generated_digest_identical_batch_vs_fused(
-        self, schema, history, tmp_path
-    ):
-        """The fused engine's batched cross-cell plan-set selection is
-        bit-identical to the per-cell batch engine — digest-proved."""
-        digests = {}
-        for engine in ("batch", "fused"):
-            system = build_system(
-                schema, history, tmp_path / f"{engine}.db", "sqlite", engine
-            )
-            digests[engine] = system.store.contents_digest()
-            system.store.close()
-        assert digests["batch"] == digests["fused"]
 
 
 class TestGeneratedPlanSets:

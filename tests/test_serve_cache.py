@@ -1,7 +1,8 @@
 """Rendered-insight cache: bounds, exact invalidation, and liveness.
 
 The cache is keyed by request parameters and validated against the
-fingerprint-vector ledger — no TTLs anywhere.  The server-level tests
+user's cell stamps (model fingerprint plus write revision per cell) —
+no TTLs anywhere.  The server-level tests
 prove the contract that matters: a response never carries a stale
 ``model_fp``, even while cells are being rewritten concurrently, on
 both the single-file and the sharded backends.
@@ -16,7 +17,14 @@ import pytest
 from repro.core import Candidate, CandidateMetrics
 from repro.core.insights import InsightEngine
 from repro.db import CandidateStore
-from repro.serve import InsightCache, InsightServer, bundle_payload, dumps
+from repro.db.prepared import prepared_for
+from repro.serve import (
+    InsightCache,
+    InsightServer,
+    bundle_payload,
+    dumps,
+    insight_payload,
+)
 
 TIME_VALUES = [2024.0, 2025.0, 2026.0, 2027.0]
 
@@ -249,3 +257,97 @@ class TestCacheFreshnessUnderRefresh:
         finally:
             server.stop_background()
             store.close()
+
+
+@pytest.mark.parametrize("backend,kwargs", [
+    ("sqlite", {}),
+    ("sharded", {"n_shards": 3}),
+])
+class TestRevisionUnderFrozenModels:
+    """A user who re-runs ``create_session`` while the models stay the
+    same rewrites every cell under the *same* fingerprints; the cache
+    must still never answer with a pre-revision body."""
+
+    FPS = {t: f"frozen-t{t}" for t in range(4)}
+
+    def _revise(self, store, base, k):
+        """The ``create_session`` write path: replace the user's whole
+        horizon, same fingerprints, revision-specific candidates."""
+        debt = store.schema.index_of("monthly_debt")
+        trajectory = np.vstack([base] * 4)
+        mod = trajectory[2].copy()
+        mod[debt] -= 100.0 * (k + 1)
+        store.store_sessions(
+            [("u0", trajectory,
+              [cand(mod, 2, diff=float(k + 1), gap=1, p=0.6 + 0.1 * k)])],
+            fingerprints=self.FPS,
+        )
+
+    def test_revise_twice_never_serves_a_pre_revision_body(
+        self, schema, john, tmp_path, backend, kwargs
+    ):
+        store = CandidateStore(
+            schema, tmp_path / "revise.db", backend=backend, **kwargs
+        )
+        self._revise(store, john, 0)
+        server = InsightServer(
+            store, TIME_VALUES, replicas_per_schema=1, executor_threads=2
+        )
+        server.start_background()
+        try:
+            engine = InsightEngine(store, "u0", TIME_VALUES)
+            seen_bundles, seen_q4 = [], []
+            for k in range(3):
+                if k:
+                    self._revise(store, john, k)
+                bundle = direct_bundle(store, "u0")
+                q4 = dumps(
+                    {**insight_payload(engine.ask("q4")), "user": "u0",
+                     "ledger": {str(t): fp for t, fp in self.FPS.items()}}
+                )
+                assert bundle not in seen_bundles and q4 not in seen_q4
+                for _ in range(2):  # render, then a (fast-path) cache hit
+                    assert http_get(
+                        server.port, "/v1/insights?user=u0"
+                    ) == (200, bundle)
+                    assert http_get(server.port, "/v1/q/q4?user=u0") == (200, q4)
+                seen_bundles.append(bundle)
+                seen_q4.append(q4)
+            assert server.cache.stats.hits >= 6
+            assert server.cache.stats.stale >= 4
+        finally:
+            server.stop_background()
+            store.close()
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "memory", "sharded"])
+def test_cell_stamps_strictly_increase_on_every_rewrite(
+    schema, john, tmp_path, backend
+):
+    path = ":memory:" if backend == "memory" else tmp_path / "stamps.db"
+    store = CandidateStore(schema, path, backend=backend)
+    prepared = prepared_for(store.placeholder, store.schema.names)
+
+    def revisions():
+        return [rev for _, _, rev in prepared.cell_stamps(store.read, "u0")]
+
+    fill_user(store, "u0", john, "fp")
+    history = [revisions()]
+    for rewrite in (
+        lambda: store.upsert_cells([("u0", 1, [])], fingerprints={1: "fp-t1"}),
+        lambda: store.clear_user("u0", time=2),
+        lambda: store.store_sessions(
+            [("u0", np.vstack([john] * 4), [])],
+            fingerprints={t: f"fp-t{t}" for t in range(4)},
+        ),
+        # a cleared and re-created user never gets an old stamp back
+        lambda: (store.clear_user("u0"), fill_user(store, "u0", john, "fp")),
+    ):
+        rewrite()
+        history.append(revisions())
+    store.close()
+    assert history[1][1] > history[0][1]
+    assert history[1][0] == history[0][0]  # untouched cells keep theirs
+    assert history[2][2] > history[1][2]
+    for before, after in zip(history[2:], history[3:]):
+        assert min(after) > max(before)
